@@ -384,9 +384,9 @@ let bechamel_tests ~with_cross_domain =
       (Staged.stage (fun () ->
            ignore (Runtime.Fastcall.call_h faulty faulty_h fast_args)))
   in
-  let locked = Runtime.Locked_registry.create () in
+  let locked = Locked_registry.create () in
   let locked_ep =
-    Runtime.Locked_registry.register locked (fun _frame args ->
+    Locked_registry.register locked (fun _frame args ->
         args.(0) <- args.(0) + args.(1);
         args.(7) <- 0)
   in
@@ -395,7 +395,7 @@ let bechamel_tests ~with_cross_domain =
       (Staged.stage (fun () ->
            fast_args.(0) <- 1;
            fast_args.(1) <- 2;
-           ignore (Runtime.Locked_registry.call locked ~ep:locked_ep fast_args)))
+           ignore (Locked_registry.call locked ~ep:locked_ep fast_args)))
   in
   let striped = Runtime.Striped_counter.create () in
   let a5_striped =
@@ -410,7 +410,7 @@ let bechamel_tests ~with_cross_domain =
   let cross_tests =
     if not with_cross_domain then []
     else begin
-      let sd = Runtime.Fastcall.spawn_server fast in
+      let sd = Legacy_path.spawn_server fast in
       let srv = Runtime.Fastcall.spawn_channel_server fast in
       let cl_inline = Runtime.Fastcall.connect srv in
       let cl_queued = Runtime.Fastcall.connect ~inline_uncontended:false srv in
@@ -419,8 +419,8 @@ let bechamel_tests ~with_cross_domain =
             (Staged.stage (fun () ->
                  fast_args.(0) <- 1;
                  fast_args.(1) <- 2;
-                 ignore (Runtime.Fastcall.cross_call sd ~ep:fast_ep fast_args))),
-          fun () -> Runtime.Fastcall.shutdown_server sd );
+                 ignore (Legacy_path.cross_call sd ~ep:fast_ep fast_args))),
+          fun () -> Legacy_path.shutdown_server sd );
         ( Test.make ~name:"a5:channel-inline"
             (Staged.stage (fun () ->
                  fast_args.(0) <- 1;
@@ -790,13 +790,13 @@ let wallclock_json ~quick ~shm () =
   let faulty_h =
     Runtime.Fastcall.register_ep faulty (fun _ctx _args -> raise Exit)
   in
-  let locked = Runtime.Locked_registry.create () in
+  let locked = Locked_registry.create () in
   let locked_ep =
-    Runtime.Locked_registry.register locked (fun _frame args ->
+    Locked_registry.register locked (fun _frame args ->
         args.(0) <- args.(0) + args.(1);
         args.(7) <- 0)
   in
-  let sd = Runtime.Fastcall.spawn_server fast in
+  let sd = Legacy_path.spawn_server fast in
   let srv = Runtime.Fastcall.spawn_channel_server fast in
   let cl_inline = Runtime.Fastcall.connect srv in
   let cl_queued = Runtime.Fastcall.connect ~inline_uncontended:false srv in
@@ -812,11 +812,11 @@ let wallclock_json ~quick ~shm () =
         subject "locked-registry" (fun () ->
             args.(0) <- 1;
             args.(1) <- 2;
-            ignore (Runtime.Locked_registry.call locked ~ep:locked_ep args));
+            ignore (Locked_registry.call locked ~ep:locked_ep args));
         subject "legacy-cross" (fun () ->
             args.(0) <- 1;
             args.(1) <- 2;
-            ignore (Runtime.Fastcall.cross_call sd ~ep:fast_ep args));
+            ignore (Legacy_path.cross_call sd ~ep:fast_ep args));
         subject "channel-inline" (fun () ->
             args.(0) <- 1;
             args.(1) <- 2;
@@ -848,7 +848,7 @@ let wallclock_json ~quick ~shm () =
         fun i ->
           a.(0) <- i;
           a.(1) <- 1;
-          ignore (Runtime.Fastcall.cross_call sd ~ep:fast_ep a))
+          ignore (Legacy_path.cross_call sd ~ep:fast_ep a))
   in
   let channel_thr ~shards ~inline =
     let srv = Runtime.Fastcall.spawn_channel_server ~shards fast in
@@ -867,7 +867,7 @@ let wallclock_json ~quick ~shm () =
   let channel_1 = channel_thr ~shards:1 ~inline:true in
   let channel_queued_1 = channel_thr ~shards:1 ~inline:false in
   let channel_2 = channel_thr ~shards:2 ~inline:true in
-  Runtime.Fastcall.shutdown_server sd;
+  Legacy_path.shutdown_server sd;
   let num f = Bench_json.Num f in
   (* --- PR7 bulk sweep on the real substrate: 4 KB -> 4 MB, three ways.
      "register" moves the payload 6 words per warm local call,
@@ -969,7 +969,7 @@ let wallclock_json ~quick ~shm () =
         sizes
     in
     (* Zero-alloc pin: a warm submit->flush->reap cycle must not touch
-       the minor heap (Request_slab discipline, satellite of PR7). *)
+       the minor heap (the preallocated-descriptor discipline). *)
     let warm () =
       (match
          Transfer.Copy_engine.submit ecl ~op:Ipc_intf.Wellknown.bulk_copy

@@ -2,7 +2,7 @@
    the companion of {!Fault}'s simulator plans.  Each scenario builds a
    live Fastcall table / channel server, injects one class of fault
    through the runtime's own injectors (raise-in-handler, kill-shard,
-   stall-reply, delay-doorbell, bounded-slab backpressure), drives calls
+   stall-reply, delay-doorbell, full-segment backpressure), drives calls
    against it, and self-checks the containment contract: faults come
    back as [Errc] codes, shards survive or are revived, no client
    wedges, no cell is recycled twice.  A scenario's verdict is its
@@ -24,7 +24,7 @@ type report = {
   retries : int;  (** calls bounced with [Errc.retry] *)
   breaker_trips : int;
   respawns : int;  (** shard domains the supervisor restarted *)
-  reclaimed : int;  (** abandoned cells recycled through the slab *)
+  reclaimed : int;  (** abandoned cells recycled through the reclaim ring *)
   violations : string list;  (** empty = scenario passed *)
 }
 
@@ -216,7 +216,10 @@ let kill_shard () =
     (Printf.sprintf "call against the dead shard answered %s"
        (Errc.to_string rc));
   (* Keep issuing bounded calls until the supervisor has revived the
-     shard and a call succeeds. *)
+     shard and a call succeeds.  Once abandoned cells fill the client's
+     segment, calls answer [retry] without waiting; back off for as long
+     as a timed-out call would have waited, so the recovery window stays
+     about 500 deadlines long either way. *)
   let recovered = ref false in
   let tries = ref 0 in
   while (not !recovered) && !tries < 500 do
@@ -229,10 +232,12 @@ let kill_shard () =
       recovered := true;
       check sc (a.(1) = !tries * 2) "recovered call returned a wrong result"
     end
-    else
+    else begin
       check sc
         (rc = Errc.timed_out || rc = Errc.handler_fault || rc = Errc.retry)
-        (Printf.sprintf "during recovery: unexpected %s" (Errc.to_string rc))
+        (Printf.sprintf "during recovery: unexpected %s" (Errc.to_string rc));
+      if rc = Errc.retry then Unix.sleepf 0.002
+    end
   done;
   check sc !recovered "no call succeeded after the supervisor respawn";
   check sc
@@ -265,7 +270,7 @@ let stall_reply () =
        (Errc.to_string rc));
   check sc (F.client_timeouts cl = 1) "timeout not counted";
   (* Unwedge the handler: the shard finishes, must discard the reply
-     into the reclaim stack (never signal the long-gone client). *)
+     and return the cell through the reclaim ring. *)
   Atomic.set gate true;
   let spins = ref 0 in
   while F.client_slab_reclaimed cl < 1 && !spins < 50_000_000 do
@@ -288,39 +293,97 @@ let stall_reply () =
 
 (* --- delay-doorbell: widened park/ring race loses no wakeups ----------- *)
 
+(* Every ring of every shard's bell stalls 300 cpu-relax iterations
+   between the client's publish and its read of the bell, widening the
+   park/ring race window.  The scenario runs over several inputs: one
+   shard with a tiny server spin, so the shard parks constantly; then
+   two shards that park on every dry sweep ([server_spin:0]) with two
+   client domains, so thieves and several ringers race the same bells.
+   Calls carry no deadline, so a lost wakeup (a call stranded in a
+   segment while its shard sleeps) would hang; a watchdog turns that
+   into a violation instead — past 30 s it wakes every bell by killing
+   a spare entry point (each kill rings all of a table's shards) until
+   the run finishes. *)
+let delay_doorbell_inputs =
+  [ (* shards, server_spin, client domains *) (1, 8, 1); (2, 0, 2) ]
+
+let delay_doorbell_calls = 200
+
+let watchdog t ~finished ~fired =
+  Domain.spawn (fun () ->
+      let deadline = Unix.gettimeofday () +. 30.0 in
+      while not (Atomic.get finished) do
+        if Unix.gettimeofday () > deadline then begin
+          Atomic.set fired true;
+          ignore (F.soft_kill t ~ep:(F.register t (fun _ _ -> ())) : int)
+        end;
+        Unix.sleepf 0.01
+      done)
+
+(* One client's run: calls alternate over [eps], so with two shards
+   both bells are rung.  Returns the rcs and results seen, for the
+   scenario domain to check. *)
+let delay_doorbell_client srv eps =
+  let cl = F.connect ~inline_uncontended:false srv in
+  List.init delay_doorbell_calls (fun i ->
+      let a = mk_args () in
+      a.(0) <- i;
+      let rc = F.channel_call cl ~ep:eps.(i mod Array.length eps) a in
+      (i, rc, a.(1)))
+
 let delay_doorbell () =
   let sc = scratch () in
   let t = F.create () in
-  let ep = F.register t (fun _ a -> a.(1) <- a.(0) + 7) in
-  (* Tiny server spin so the shard parks constantly — every call then
-     exercises the delayed ring against a parking consumer. *)
-  let srv = F.spawn_channel_server ~shards:1 ~server_spin:8 t in
-  let cl = F.connect ~inline_uncontended:false srv in
-  F.inject_doorbell_delay srv ~shard:0 300;
-  for i = 1 to 200 do
-    let a = mk_args () in
-    a.(0) <- i;
-    let rc = F.channel_call cl ~ep a in
-    count sc rc;
-    check sc
-      (rc = Errc.ok && a.(1) = i + 7)
-      (Printf.sprintf "delayed-doorbell call %d: got %s" i (Errc.to_string rc))
-  done;
-  F.inject_doorbell_delay srv ~shard:0 0;
-  let r = finish ~name:"delay-doorbell" sc ~table:t ~server:srv ~client:cl () in
-  F.shutdown_channel_server srv;
-  r
+  let eps = Array.init 2 (fun _ -> F.register t (fun _ a -> a.(1) <- a.(0) + 7)) in
+  List.iter
+    (fun (shards, server_spin, clients) ->
+      let srv = F.spawn_channel_server ~shards ~server_spin t in
+      for shard = 0 to shards - 1 do
+        F.inject_doorbell_delay srv ~shard 300
+      done;
+      let finished = Atomic.make false and fired = Atomic.make false in
+      let dog = watchdog t ~finished ~fired in
+      let results =
+        if clients = 1 then [ delay_doorbell_client srv eps ]
+        else
+          List.init clients (fun _ ->
+              Domain.spawn (fun () -> delay_doorbell_client srv eps))
+          |> List.map Domain.join
+      in
+      Atomic.set finished true;
+      Domain.join dog;
+      List.iter
+        (List.iter (fun (i, rc, got) ->
+             count sc rc;
+             check sc
+               (rc = Errc.ok && got = i + 7)
+               (Printf.sprintf
+                  "delayed-doorbell call %d (shards=%d spin=%d clients=%d): got %s"
+                  i shards server_spin clients (Errc.to_string rc))))
+        results;
+      check sc
+        (not (Atomic.get fired))
+        (Printf.sprintf
+           "lost wakeup: the watchdog had to wake the shards (shards=%d \
+            spin=%d clients=%d)"
+           shards server_spin clients);
+      for shard = 0 to shards - 1 do
+        F.inject_doorbell_delay srv ~shard 0
+      done;
+      F.shutdown_channel_server srv)
+    delay_doorbell_inputs;
+  finish ~name:"delay-doorbell" sc ~table:t ()
 
-(* --- backpressure: bounded slab answers retry, Backoff reports truth --- *)
+(* --- backpressure: a full segment answers retry, Backoff reports truth - *)
 
 let backpressure () =
   let sc = scratch () in
   let t = F.create () in
   let ep = F.register t (fun _ a -> a.(1) <- 1) in
   let srv = F.spawn_channel_server ~shards:1 t in
-  let cl = F.connect ~slab_capacity:2 ~slab_max:2 ~inline_uncontended:false srv in
+  let cl = F.connect ~capacity:2 ~inline_uncontended:false srv in
   (* Kill the only shard with no supervisor: every cell the client
-     abandons stays in flight, so the 2-cell slab exhausts after two
+     abandons stays in flight, so the 2-cell segment is full after two
      timeouts and the third call must bounce with retry. *)
   F.kill_shard srv ~shard:0;
   for i = 1 to 2 do
@@ -340,7 +403,7 @@ let backpressure () =
   in
   check sc (rc = Errc.retry)
     (Printf.sprintf
-       "exhausted slab behind a dead shard: expected retry, got %s"
+       "full segment behind a dead shard: expected retry, got %s"
        (Errc.to_string rc));
   check sc (F.client_rejected cl >= 1) "rejected calls not counted";
   let r = finish ~name:"backpressure" sc ~table:t ~server:srv ~client:cl () in

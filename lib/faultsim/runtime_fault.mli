@@ -15,7 +15,7 @@ type report = {
   retries : int;  (** calls bounced with [Errc.retry] *)
   breaker_trips : int;
   respawns : int;  (** shard domains the supervisor restarted *)
-  reclaimed : int;  (** abandoned cells recycled through the slab *)
+  reclaimed : int;  (** abandoned cells recycled through the reclaim ring *)
   violations : string list;  (** empty = scenario passed *)
 }
 

@@ -293,3 +293,82 @@ let reclaim ?via t ~principal ~max_ctxs =
         a.(principal_slot) <- principal)
   in
   if rc = Errc.ok then Ok args.(0) else Error rc
+
+module Wire = Ipc_intf.Wire_abi
+
+(* --- wire dispatch ----------------------------------------------------- *)
+
+(* A dispatcher over a Fastcall table + control plane: the thing that
+   makes a shared segment a full IPC endpoint.  It lives here rather
+   than in Shm_channel because Fastcall's own channel path is built on
+   Shm_channel; the library re-exports it as
+   [Runtime.Shm_channel.fastcall_dispatch].  Decodes the cell's
+   entry-point word (versioned handle / raw ID / control plane) and
+   speaks the Wire_abi management vocabulary — registration ships
+   behavior *specs* (two words) that are compiled against this very
+   table, so self-killing behaviors target the entry point they were
+   registered under, exactly like the in-process subjects. *)
+let fastcall_dispatch ?(principal = 7) fast ctl : Shm_channel.dispatch =
+  let nap_ms ms = Doorbell.nap_ns (ms * 1_000_000) in
+  let compile ~self spec =
+    let kill k () =
+      match !self with Some ep -> k ep | None -> Errc.no_entry
+    in
+    let b =
+      Ipc_intf.Sigs.compile
+        ~kill_soft:(kill (fun ep -> Fastcall.soft_kill_h fast ep))
+        ~kill_hard:(kill (fun ep -> Fastcall.hard_kill_h fast ep))
+        ~nap_ms spec
+    in
+    fun (_ : Fastcall.ctx) args -> b args
+  in
+  fun ~ep_word args ->
+    let rc_slot = Array.length args - 1 in
+    if ep_word = Wire.ctl_ep then begin
+      let ret rc =
+        args.(rc_slot) <- rc;
+        rc
+      in
+      let op = args.(0) in
+      if op = Wire.ctl_register then (
+        match Wire.spec_of_wire ~code:args.(1) ~param:args.(2) with
+        | None -> ret Errc.bad_request
+        | Some spec ->
+            let self = ref None in
+            let ep = Fastcall.register_ep fast (compile ~self spec) in
+            self := Some ep;
+            args.(0) <- Fastcall.ep_to_wire ep;
+            ret Errc.ok)
+      else if op = Wire.ctl_publish then
+        let name = Wire.unpack_name (args.(2), args.(3)) in
+        ret
+          (publish ctl ~principal ~name ~ep:(Wire.handle_slot args.(1)))
+      else if op = Wire.ctl_lookup then (
+        match lookup ctl ~name:(Wire.unpack_name (args.(1), args.(2))) with
+        | Ok id ->
+            args.(0) <- id;
+            ret Errc.ok
+        | Error rc -> ret rc)
+      else if op = Wire.ctl_exchange then (
+        match Wire.spec_of_wire ~code:args.(2) ~param:args.(3) with
+        | None -> ret Errc.bad_request
+        | Some spec ->
+            let ep = Fastcall.ep_of_wire args.(1) in
+            ret (Fastcall.exchange_h fast ep (compile ~self:(ref (Some ep)) spec)))
+      else if op = Wire.ctl_soft_kill then
+        ret (Fastcall.soft_kill_h fast (Fastcall.ep_of_wire args.(1)))
+      else if op = Wire.ctl_hard_kill then
+        ret (Fastcall.hard_kill_h fast (Fastcall.ep_of_wire args.(1)))
+      else if op = Wire.ctl_in_flight then begin
+        args.(0) <- Fastcall.in_flight_h fast (Fastcall.ep_of_wire args.(1));
+        ret Errc.ok
+      end
+      else ret Errc.bad_request
+    end
+    else if Wire.is_raw_call ep_word then (
+      match Fastcall.call fast ~ep:(Wire.raw_call_id ep_word) args with
+      | rc -> rc
+      | exception Fastcall.No_entry _ ->
+          args.(rc_slot) <- Errc.no_entry;
+          Errc.no_entry)
+    else Fastcall.call_h fast (Fastcall.ep_of_wire ep_word) args

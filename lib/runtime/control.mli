@@ -60,3 +60,14 @@ val reclaim : ?via:path -> t -> principal:int -> max_ctxs:int -> (int, int) resu
 val grant : t -> principal:int -> perms:Ipc_intf.Auth.perm list -> unit
 val revoke : t -> principal:int -> unit
 val check : t -> principal:int -> perm:Ipc_intf.Auth.perm -> bool
+
+(** {1 Wire dispatch} *)
+
+val fastcall_dispatch : ?principal:int -> Fastcall.t -> t -> Shm_channel.dispatch
+(** A {!Shm_channel} dispatcher over a Fastcall table and its control
+    plane: versioned wire handles and raw-ID calls reach the table,
+    [Wire_abi.ctl_ep] carries the management vocabulary
+    (register-by-spec, publish, lookup, exchange, kills, in-flight) —
+    everything the cross-process conformance subject needs.  [principal]
+    (default 7) is the identity publishes run under.  Re-exported as
+    [Runtime.Shm_channel.fastcall_dispatch]. *)

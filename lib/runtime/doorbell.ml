@@ -18,7 +18,15 @@
    If the ringer publishes work before the server's recheck, the server
    sees it and never sleeps.  If the ringer publishes after, it must
    have read state = PARKED (the server stored it first), so it takes
-   the slow path; the mutex then serialises it against the wait. *)
+   the slow path; the mutex then serialises it against the wait.
+
+   That argument is Dekker-shaped: each side stores one word and then
+   loads the other's, which needs a store->load fence on both sides.
+   The server's is the seq_cst [Atomic.set] of PARKED.  The ringer's
+   must come from its publish: a seq_cst RMW between publishing the
+   work and calling [ring] (for Fastcall's queued path, the fetch_add
+   on the segment's doorbell word in [Shm_channel.submit_raw]).  A
+   release-only publish followed by [ring]'s plain load can miss. *)
 
 let spinning = 0
 let parked = 1
@@ -50,9 +58,9 @@ let inject_delay t n = Atomic.set t.delay (max 0 n)
 
 let rec stall n = if n > 0 then (Domain.cpu_relax (); stall (n - 1))
 
-(* Producer side.  Call only after the work item is visible (e.g. after
-   the ring-buffer push).  Warm path: two atomic loads + one atomic
-   increment, no lock. *)
+(* Producer side.  Call only after the work item is visible and fenced
+   (see the header: a seq_cst RMW after the publish).  Warm path: two
+   atomic loads + one atomic increment, no lock. *)
 let ring t =
   (let d = Atomic.get t.delay in
    if d > 0 then stall d);
@@ -92,45 +100,14 @@ let rings t = Atomic.get t.rings
 let wakes t = Atomic.get t.wakes
 let parks t = Atomic.get t.parks
 
-(* --- timed park ---------------------------------------------------------
+(* --- clock and waiting primitives ------------------------------------------
 
-   The deadline path needs a wait that is bounded in *time*, and the
-   stdlib offers neither a timed [Condition.wait] nor a boxing-free
-   monotonic clock — so the timed park is built from three C stubs (see
-   runtime_stubs.c) and never touches the condvar machinery above:
-
-     spin (caller's budget) -> sched_yield rounds -> growing nanosleeps
-
-   The yield rounds are the single-core workhorse: they hand the core
-   straight to the server domain that owes us the reply.  The naps cap
-   at [nap_cap_ns], which bounds how far past its deadline a sleeping
-   waiter can oversleep.  Everything here is an immediate int — a wait
-   that completes warm allocates nothing. *)
+   Three C stubs (see runtime_stubs.c) for waits bounded in time, which
+   the stdlib cannot express without boxing: a monotonic clock, a
+   sched_yield and a nanosleep that releases the domain lock.  They are
+   the rungs of Shm_channel's wait ladder.  Everything here is an
+   immediate int, so a wait that completes warm allocates nothing. *)
 
 external now_ns : unit -> int = "ppc_runtime_now_ns" [@@noalloc]
 external yield : unit -> unit = "ppc_runtime_yield" [@@noalloc]
 external nap_ns : int -> unit = "ppc_runtime_nap_ns"
-
-let yield_rounds = 64
-let nap_floor_ns = 1_000
-let nap_cap_ns = 50_000
-
-let rec timed_wait_loop word ~until ~deadline_ns n =
-  if Atomic.get word = until then true
-  else
-    let now = now_ns () in
-    if now >= deadline_ns then false
-    else begin
-      (if n < yield_rounds then yield ()
-       else begin
-         let cap =
-           if n < 2 * yield_rounds then nap_floor_ns else nap_cap_ns
-         in
-         let remaining = deadline_ns - now in
-         nap_ns (if remaining < cap then remaining else cap)
-       end);
-      timed_wait_loop word ~until ~deadline_ns (n + 1)
-    end
-
-let timed_wait word ~until ~deadline_ns =
-  timed_wait_loop word ~until ~deadline_ns 0

@@ -10,7 +10,11 @@ val create : unit -> t
 
 val ring : t -> unit
 (** Producer side.  Call only {e after} the work item is visible to the
-    consumer. *)
+    consumer {e and} a seq_cst read-modify-write separates that publish
+    from this call: [ring] reads the state with a plain load, and the
+    park/ring handshake needs a store->load fence on the ringer's side
+    too.  Fastcall's queued path gets it from the doorbell-word
+    [fetch_add] in [Shm_channel.submit_raw]. *)
 
 val park : t -> nonempty:(unit -> bool) -> unit
 (** Server side.  Publishes PARKED, rechecks [nonempty] under the mutex,
@@ -35,12 +39,10 @@ val inject_delay : t -> int -> unit
     cpu-relax iterations before reading the bell state, widening the
     park/ring race window.  [0] (the default) disables it. *)
 
-(** {1 Timed park}
+(** {1 Clock and waiting primitives}
 
-    Building blocks for waits bounded in wall-clock time (the deadline
-    path): the stdlib has no timed [Condition.wait], so a bounded wait
-    is yield rounds followed by growing [nanosleep] naps.  All three
-    primitives traffic in immediate ints — a wait that completes warm
+    The rungs of {!Shm_channel}'s wait ladder (spin, sched_yield, naps).
+    All three traffic in immediate ints — a wait that completes warm
     allocates nothing. *)
 
 val now_ns : unit -> int
@@ -53,9 +55,3 @@ val yield : unit -> unit
 val nap_ns : int -> unit
 (** [nanosleep(2)] for at most the given nanoseconds, with the domain
     lock released so a sleeper never stalls a stop-the-world section. *)
-
-val timed_wait : int Atomic.t -> until:int -> deadline_ns:int -> bool
-(** Wait until [word] reads [until] or the absolute monotonic deadline
-    ([now_ns] clock) passes: a few {!yield} rounds first, then naps
-    growing to a 50 µs cap (which also bounds deadline overshoot).
-    Returns [true] iff the value was observed in time.  Zero-alloc. *)

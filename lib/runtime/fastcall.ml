@@ -45,20 +45,18 @@
    and the pool is a growable array rather than a cons list, so a warm
    call writes zero minor-heap words (pinned by a test).
 
-   Cross-domain calls come in two flavours:
-   - the *channel path* ({!spawn_channel_server} / {!connect} /
-     {!channel_call}): preallocated request slabs, per-client SPSC
-     submission rings, a SPINNING/PARKED doorbell, server-side batch
-     draining, and optional sharding with entry-point affinity and
-     steal-on-idle.  Zero allocation and no locks after warm-up.
-     {!shutdown_channel_server} quiesces: it refuses new calls, lets
-     every accepted call complete, then joins the shard domains.
-   - the *legacy path* ({!spawn_server} / {!cross_call}): one allocating
-     MPSC queue and a per-request mutex/condvar.  Kept as the baseline
-     the benchmarks measure the channel path against.
-
-   Compare with {!Locked_registry}, the mutex-guarded shared-pool
-   baseline, in the benchmarks. *)
+   Cross-domain calls take the *channel path* ({!spawn_channel_server} /
+   {!connect} / {!channel_call}): an uncontended call runs inline under
+   its shard's ticket; a contended one is queued on an in-heap
+   {!Shm_channel} segment (one per client and shard — the same cell,
+   ring and abandonment protocol that crosses process boundaries), the
+   shard's SPINNING/PARKED doorbell is rung, and the shard serves it in
+   a batch.  Optional sharding with entry-point affinity and
+   steal-on-idle.  Zero allocation and no locks after warm-up.
+   {!shutdown_channel_server} quiesces: it refuses new calls, lets every
+   accepted call complete, then joins the shard domains.  The legacy
+   MPSC + condvar path and the mutex-guarded registry the benchmarks
+   compare against live in the benchmark library, not here. *)
 
 let max_entry_points = 1024
 let arg_words = 8
@@ -660,13 +658,15 @@ let ep_faults t ~ep =
 type shard = {
   shard_index : int;
   bell : Doorbell.t;
-  chans : Ppc_channel.t array Atomic.t;  (** CAS-append registry *)
+  chans : Shm_channel.t array Atomic.t;
+      (** server ends of every client's segment to this shard;
+          CAS-append registry *)
   ticket : bool Atomic.t;  (** per-shard handler-execution lock *)
   sh_hold : hold;
       (** the shard's batch-acceptance cache, guarded by [ticket]:
           shared by the shard domain's sweeps, thieves draining this
           shard, and inline callers — whoever holds the ticket *)
-  mutable sh_run : int -> int array -> unit;
+  mutable sh_run : Shm_channel.dispatch;
       (** prebuilt drain body (hold-based call + served count), so a
           sweep never allocates a closure; set once at spawn *)
   shard_served : int Atomic.t;
@@ -684,7 +684,6 @@ type channel_server = {
   cs_actives : int Atomic.t array Atomic.t;
       (** every client's in-flight gate, CAS-append; summed to quiesce *)
   cs_server_spin : int;
-  cs_max_batch : int;
   mutable cs_domains : unit Domain.t array;
   cs_dmutex : Mutex.t;
       (** guards [cs_domains] appends (supervisor respawn vs shutdown) *)
@@ -697,10 +696,11 @@ type channel_server = {
 
 type client = {
   cl_server : channel_server;
-  cl_chans : Ppc_channel.t array;
+  cl_chans : Shm_channel.t array;  (** client ends, indexed by shard *)
   cl_inline : bool;
   mutable cl_inlined : int;
       (** single-writer (the owning client domain); plain on purpose *)
+  mutable cl_rejected : int;  (** calls bounced with [Errc.retry]; ditto *)
   cl_active : int Atomic.t;
       (** queued calls past the draining gate, not yet done.  Inline
           calls are not counted here: their quiesce discipline is the
@@ -720,20 +720,30 @@ let try_ticket sh =
 
 let release_ticket sh = Atomic.set sh.ticket false
 
-let rec sweep_chans chans run i acc =
+(* Serve every segment with work visible.  An idle segment costs two
+   loads: [serve_once] would also bump the server heartbeat word, a
+   store into the line the waiting client polls. *)
+let rec sweep_chans chans dispatch i acc =
   if i >= Array.length chans then acc
   else
-    sweep_chans chans run (i + 1) (acc + Ppc_channel.try_drain chans.(i) ~run)
+    let ch = chans.(i) in
+    let n =
+      if Shm_channel.pending ch then Shm_channel.serve_once ch ~dispatch else 0
+    in
+    sweep_chans chans dispatch (i + 1) (acc + n)
 
 (* A full drain pass over [sh]'s channels, serialised by its ticket.
-   Before the ticket goes back, a hold gone stale (its slot was killed)
-   is retired so the slot can drain; a *fresh* hold is deliberately left
-   in place — it is the amortization, spanning batches until a
-   lifecycle event invalidates it. *)
-let sweep_shard t sh run =
+   The ticket is the only consumer lock: it serialises the shard's own
+   sweeps, thieves, the supervisor's fail-sweep and shutdown, so each
+   segment's server end has one user at a time.  Before the ticket goes
+   back, a hold gone stale (its slot was killed) is retired so the slot
+   can drain; a *fresh* hold is deliberately left in place — it is the
+   amortization, spanning batches until a lifecycle event invalidates
+   it. *)
+let sweep_shard t sh dispatch =
   if not (try_ticket sh) then 0
   else begin
-    let n = sweep_chans (Atomic.get sh.chans) run 0 0 in
+    let n = sweep_chans (Atomic.get sh.chans) dispatch 0 0 in
     if hold_stale t sh.sh_hold then hold_retire t sh.sh_hold;
     release_ticket sh;
     n
@@ -741,7 +751,7 @@ let sweep_shard t sh run =
 
 let rec chans_pending chans i =
   i < Array.length chans
-  && (Ppc_channel.pending chans.(i) || chans_pending chans (i + 1))
+  && (Shm_channel.pending chans.(i) || chans_pending chans (i + 1))
 
 (* Steal-on-idle: visit sibling shards round-robin and drain the first
    batch found.  Safe because each victim's ticket serialises us against
@@ -762,7 +772,10 @@ let shard_loop server sh =
      registered bell ([t.wakers]), and folding the staleness test into
      the under-mutex recheck closes the park/kill race the same way the
      work recheck closes park/ring — a shard can never sleep through
-     the retire it owes a killed slot. *)
+     the retire it owes a killed slot.  The work recheck reads each
+     segment's tail after [Doorbell.park] published PARKED with a
+     seq_cst store; the client's side of that handshake is the
+     fetch_add in [Shm_channel.submit_raw] (see [queued_call]). *)
   let nonempty () =
     Atomic.get server.cs_stop
     || Atomic.get sh.poison
@@ -818,15 +831,15 @@ let shard_loop server sh =
    fail-sweep runs under the shard ticket (like any consumer), so it can
    only touch rings no live consumer owns; every request it pops answers
    [err_handler_fault] — the request may or may not have started when
-   the shard died, which is exactly what that code means — and parked
-   clients wake through the normal deferred-signal pass.  The respawned
+   the shard died, which is exactly what that code means — and its
+   waiting client sees the completion on its next rung.  The respawned
    domain serves whatever the sweep could not reach.  Spawning is
    serialised with shutdown on [cs_dmutex]: once [cs_stop] is set no new
    domain can appear, so [shutdown_channel_server] joins a stable set. *)
 let revive_shard server sh =
-  let fail_run _ep args =
-    args.(rc_slot) <- err_handler_fault;
-    Atomic.incr server.cs_fail_swept
+  let fail_run ~ep_word:_ _args =
+    Atomic.incr server.cs_fail_swept;
+    err_handler_fault
   in
   let swept = sweep_shard server.cs_table sh fail_run in
   if swept > 0 then ignore swept;
@@ -855,9 +868,9 @@ let revive_shard server sh =
    pending (one frozen poll can be an unlucky sample of a shard that is
    just waking; two in a row with a backlog cannot — a healthy shard
    bumps the word every loop iteration).  Respawning a wedged shard is
-   safe even if the old domain later resumes: the shard ticket and the
-   per-channel consumer locks serialise the two, the same property that
-   makes steal-on-idle sound. *)
+   safe even if the old domain later resumes: the shard ticket
+   serialises the two, the same property that makes steal-on-idle
+   sound. *)
 let supervisor_loop server =
   let shards = server.cs_shards in
   let n = Array.length shards in
@@ -895,7 +908,7 @@ let supervisor_loop server =
   in
   go ()
 
-let spawn_channel_server ?shards:(shards = 1) ?server_spin ?(max_batch = 32)
+let spawn_channel_server ?shards:(shards = 1) ?server_spin
     ?(supervise = false) ?(supervisor_poll = 20_000) t =
   let server_spin =
     match server_spin with
@@ -904,8 +917,6 @@ let spawn_channel_server ?shards:(shards = 1) ?server_spin ?(max_batch = 32)
   in
   if shards <= 0 then
     invalid_arg "Fastcall.spawn_channel_server: shards must be > 0";
-  if max_batch <= 0 then
-    invalid_arg "Fastcall.spawn_channel_server: max_batch must be > 0";
   if supervisor_poll <= 0 then
     invalid_arg "Fastcall.spawn_channel_server: supervisor_poll must be > 0";
   let cs_shards =
@@ -916,7 +927,7 @@ let spawn_channel_server ?shards:(shards = 1) ?server_spin ?(max_batch = 32)
           chans = Atomic.make [||];
           ticket = Atomic.make false;
           sh_hold = make_hold ();
-          sh_run = (fun _ _ -> ());
+          sh_run = (fun ~ep_word:_ _ -> err_no_entry);
           shard_served = Atomic.make 0;
           shard_batches = Atomic.make 0;
           shard_steals = Atomic.make 0;
@@ -929,17 +940,20 @@ let spawn_channel_server ?shards:(shards = 1) ?server_spin ?(max_batch = 32)
      entry point killed and freed while it sat in a ring must answer,
      not kill the shard domain; a handler that raises is contained
      inside the call, so no request can take a consumer down.  The
-     served counter bumps *before* the channel marks the request
+     served counter bumps *before* the segment marks the request
      complete, so a caller that has seen its call return also sees it
-     counted. *)
+     counted.  The cell's entry-point word is the raw ID. *)
   Array.iter
     (fun sh ->
       sh.sh_run <-
-        (fun ep args ->
-          (match hold_call t sh.sh_hold ~ep args with
-          | (_ : int) -> ()
-          | exception No_entry _ -> args.(rc_slot) <- err_no_entry);
-          Atomic.incr sh.shard_served))
+        (fun ~ep_word:ep args ->
+          let rc =
+            match hold_call t sh.sh_hold ~ep args with
+            | rc -> rc
+            | exception No_entry _ -> err_no_entry
+          in
+          Atomic.incr sh.shard_served;
+          rc))
     cs_shards;
   let server =
     {
@@ -949,7 +963,6 @@ let spawn_channel_server ?shards:(shards = 1) ?server_spin ?(max_batch = 32)
       cs_draining = Atomic.make false;
       cs_actives = Atomic.make [||];
       cs_server_spin = server_spin;
-      cs_max_batch = max_batch;
       cs_domains = [||];
       cs_dmutex = Mutex.create ();
       cs_supervisor = None;
@@ -1001,12 +1014,13 @@ let rec register_active server a =
   if not (Atomic.compare_and_set server.cs_actives cur next) then
     register_active server a
 
-(* Per-calling-domain handle: one channel to every shard.  Connect from
-   the domain that will make the calls; a client must not be shared
-   across domains (the submission rings are single-producer). *)
-let connect ?(slab_capacity = 16) ?slab_max ?(ring_capacity = 64) ?client_spin
-    ?(inline_uncontended = true) server =
-  let client_spin =
+(* Per-calling-domain handle: one in-heap segment to every shard, the
+   shard holding the server end.  Connect from the domain that will
+   make the calls; a client must not be shared across domains (a
+   segment's client end is single-producer). *)
+let connect ?(capacity = 16) ?client_spin ?(inline_uncontended = true) server
+    =
+  let spin =
     match client_spin with
     | Some s -> s
     | None -> default_spin ~parallel:2048 ~serial:64
@@ -1014,13 +1028,9 @@ let connect ?(slab_capacity = 16) ?slab_max ?(ring_capacity = 64) ?client_spin
   let cl_chans =
     Array.map
       (fun sh ->
-        let ch =
-          Ppc_channel.create ~slab_capacity ?slab_max ~ring_capacity
-            ~spin:client_spin ~max_batch:server.cs_max_batch ~doorbell:sh.bell
-            ~shard:sh.shard_index ~arg_words ()
-        in
-        register_chan sh ch;
-        ch)
+        let seg = Shm_channel.create_heap ~capacity ~arg_words () in
+        register_chan sh (Shm_channel.attach ~role:Shm_channel.Server seg);
+        Shm_channel.attach ~spin ~role:Shm_channel.Client seg)
       server.cs_shards
   in
   let cl_active = Atomic.make 0 in
@@ -1030,17 +1040,42 @@ let connect ?(slab_capacity = 16) ?slab_max ?(ring_capacity = 64) ?client_spin
     cl_chans;
     cl_inline = inline_uncontended;
     cl_inlined = 0;
+    cl_rejected = 0;
     cl_active;
   }
+
+(* The queued round trip on this client's segment to shard [idx]:
+   submit, ring the shard's bell, wait on the segment's ladder.
+   [deadline] is absolute CLOCK_MONOTONIC ns, [max_int] for none.
+
+   The bell is read only after [Shm_channel.submit_raw]'s seq_cst
+   fetch_add on the segment's doorbell word.  That RMW is the
+   store->load fence of the park/ring handshake: segment stores are
+   release-only, so without it this read could see SPINNING while the
+   shard, having just published PARKED, rechecks a tail that does not
+   yet show the call — a lost wakeup.  A full segment answers
+   [Errc.retry]; the ring still happens, so a shard behind on reclaiming
+   abandoned cells is awake to free them. *)
+let queued_call cl idx ~ep ~deadline args =
+  let ch = cl.cl_chans.(idx) in
+  let i = Shm_channel.submit_raw ch ~ep args in
+  Doorbell.ring cl.cl_server.cs_shards.(idx).bell;
+  if i >= 0 then Shm_channel.await_deadline ch ~deadline i args
+  else begin
+    if i = Ipc_intf.Errc.retry then cl.cl_rejected <- cl.cl_rejected + 1;
+    args.(rc_slot) <- i;
+    i
+  end
 
 (* The channel-path cross-domain call.  Entry-point affinity picks the
    shard.  If the shard is uncontended, the call executes right here on
    the caller's domain under the shard ticket — the paper's PPC proper,
    where a protected procedure call runs on the caller's processor and
-   hand-off is the exception.  Otherwise it queues on this client's SPSC
-   channel and the shard domain batches it.  Either way: no allocation
-   after warm-up.  Per-client ordering is trivially preserved because
-   calls are synchronous (at most one outstanding request per client).
+   hand-off is the exception.  Otherwise it queues on this client's
+   segment to the shard and the shard domain batches it.  Either way:
+   no allocation after warm-up.  Per-client ordering is trivially
+   preserved because calls are synchronous (at most one outstanding
+   request per client).
 
    Shutdown gating differs by path.  The queued path keeps the counting
    gate: increment [cl_active], re-read the draining flag — a quiescing
@@ -1053,8 +1088,7 @@ let connect ?(slab_capacity = 16) ?slab_max ?(ring_capacity = 64) ?client_spin
    per-call RMW on the inline fast path.  Lifecycle rejections come
    back as [Errc] codes, never exceptions. *)
 let channel_call cl ~ep args =
-  let chans = cl.cl_chans in
-  let idx = ep mod Array.length chans in
+  let idx = ep mod Array.length cl.cl_chans in
   let server = cl.cl_server in
   let sh = server.cs_shards.(idx) in
   if cl.cl_inline && try_ticket sh then
@@ -1086,7 +1120,7 @@ let channel_call cl ~ep args =
       err_killed
     end
     else begin
-      (match Ppc_channel.call chans.(idx) ~ep args with
+      (match queued_call cl idx ~ep ~deadline:max_int args with
       | (_ : int) -> ()
       | exception e ->
           Atomic.decr cl.cl_active;
@@ -1096,15 +1130,15 @@ let channel_call cl ~ep args =
     end
   end
 
-(* Deadline flavour ([deadline] in nanoseconds).  Always takes the
-   queued path: the point of a deadline is bounding the wait on
-   *someone else's* progress, and a call inlined under the shard ticket
-   runs on this very domain — there is nothing to time out on.  The
-   spin/timed-park/abandonment protocol lives in
-   {!Ppc_channel.call_deadline}; a timed-out call decrements the
-   quiesce gate immediately (its abandoned cell is the server's to
-   reclaim, and the shutdown sweep drains rings anyway), so a client
-   stuck behind a dead shard never wedges [shutdown_channel_server]. *)
+(* Deadline flavour ([deadline] in nanoseconds, relative).  Always
+   takes the queued path: the point of a deadline is bounding the wait
+   on *someone else's* progress, and a call inlined under the shard
+   ticket runs on this very domain — there is nothing to time out on.
+   The abandonment protocol is the segment's ({!Shm_channel.await}); a
+   timed-out call decrements the quiesce gate immediately (its
+   abandoned cell is the server's to reclaim, and the shutdown sweep
+   drains rings anyway), so a client stuck behind a dead shard never
+   wedges [shutdown_channel_server]. *)
 let channel_call_deadline cl ~ep ~deadline args =
   Atomic.incr cl.cl_active;
   if Atomic.get cl.cl_server.cs_draining then begin
@@ -1113,9 +1147,12 @@ let channel_call_deadline cl ~ep ~deadline args =
     err_killed
   end
   else begin
-    let chans = cl.cl_chans in
-    let idx = ep mod Array.length chans in
-    ignore (Ppc_channel.call_deadline chans.(idx) ~ep ~deadline args : int);
+    let idx = ep mod Array.length cl.cl_chans in
+    let start = Doorbell.now_ns () in
+    let deadline =
+      if deadline > max_int - start then max_int else start + deadline
+    in
+    ignore (queued_call cl idx ~ep ~deadline args : int);
     Atomic.decr cl.cl_active;
     args.(rc_slot)
   end
@@ -1200,119 +1237,14 @@ let shard_heartbeat server ~shard =
   if shard < 0 || shard >= Array.length server.cs_shards then 0
   else Atomic.get server.cs_shards.(shard).heartbeat
 
-let client_slab_grows cl =
-  Array.fold_left (fun acc ch -> acc + Ppc_channel.slab_grows ch) 0 cl.cl_chans
+(* Segments are fixed-size: a full one answers [Errc.retry] instead of
+   growing, so there is no growth to report. *)
+let client_slab_grows (_ : client) = 0
 
 let client_timeouts cl =
-  Array.fold_left (fun acc ch -> acc + Ppc_channel.timeouts ch) 0 cl.cl_chans
+  Array.fold_left (fun acc ch -> acc + Shm_channel.timeouts ch) 0 cl.cl_chans
 
-let client_rejected cl =
-  Array.fold_left (fun acc ch -> acc + Ppc_channel.rejected ch) 0 cl.cl_chans
+let client_rejected cl = cl.cl_rejected
 
 let client_slab_reclaimed cl =
-  Array.fold_left
-    (fun acc ch -> acc + Ppc_channel.slab_reclaimed ch)
-    0 cl.cl_chans
-
-(* --- cross-domain calls: the legacy MPSC path -------------------------- *)
-
-(* The original cross-domain embodiment, kept as the benchmark baseline:
-   a server domain drains one allocating MPSC queue, every call builds a
-   fresh request record with its own mutex/condvar, and ringing the
-   server always takes its lock.  The channel path above removes all
-   three costs; ablation A5 measures the difference.
-
-   The waiting discipline is hybrid: a short spin (wins when the server
-   runs on another core), then a mutex/condvar block (necessary when
-   cores are scarce — a pure spin-wait livelocks a single-core box). *)
-
-type request = {
-  req_ep : int;
-  req_args : int array;
-  done_ : bool Atomic.t;
-  req_mutex : Mutex.t;
-  req_cond : Condition.t;
-}
-
-type server_domain = {
-  queue : request Mpsc_queue.t;
-  stop : bool Atomic.t;
-  served : int Atomic.t;
-  sd_mutex : Mutex.t;
-  sd_cond : Condition.t;  (** signalled on every push and on stop *)
-  domain : unit Domain.t;
-}
-
-let spawn_server t =
-  let queue = Mpsc_queue.create () in
-  let stop = Atomic.make false in
-  let served = Atomic.make 0 in
-  let sd_mutex = Mutex.create () in
-  let sd_cond = Condition.create () in
-  let domain =
-    Domain.spawn (fun () ->
-        let rec loop () =
-          match Mpsc_queue.pop queue with
-          | Some req ->
-              (match call t ~ep:req.req_ep req.req_args with
-              | (_ : int) -> ()
-              | exception No_entry _ -> req.req_args.(rc_slot) <- err_no_entry);
-              Atomic.set req.done_ true;
-              Mutex.lock req.req_mutex;
-              Condition.signal req.req_cond;
-              Mutex.unlock req.req_mutex;
-              Atomic.incr served;
-              loop ()
-          | None ->
-              if Atomic.get stop then ()
-              else begin
-                Mutex.lock sd_mutex;
-                while Mpsc_queue.is_empty queue && not (Atomic.get stop) do
-                  Condition.wait sd_cond sd_mutex
-                done;
-                Mutex.unlock sd_mutex;
-                loop ()
-              end
-        in
-        loop ())
-  in
-  { queue; stop; served; sd_mutex; sd_cond; domain }
-
-let cross_call sd ~ep args =
-  let req =
-    {
-      req_ep = ep;
-      req_args = args;
-      done_ = Atomic.make false;
-      req_mutex = Mutex.create ();
-      req_cond = Condition.create ();
-    }
-  in
-  Mpsc_queue.push sd.queue req;
-  Mutex.lock sd.sd_mutex;
-  Condition.signal sd.sd_cond;
-  Mutex.unlock sd.sd_mutex;
-  (* Brief spin for the multi-core fast case... *)
-  let spins = ref 0 in
-  while (not (Atomic.get req.done_)) && !spins < 256 do
-    incr spins;
-    Domain.cpu_relax ()
-  done;
-  (* ...then block. *)
-  if not (Atomic.get req.done_) then begin
-    Mutex.lock req.req_mutex;
-    while not (Atomic.get req.done_) do
-      Condition.wait req.req_cond req.req_mutex
-    done;
-    Mutex.unlock req.req_mutex
-  end;
-  args.(arg_words - 1)
-
-let shutdown_server sd =
-  Atomic.set sd.stop true;
-  Mutex.lock sd.sd_mutex;
-  Condition.broadcast sd.sd_cond;
-  Mutex.unlock sd.sd_mutex;
-  Domain.join sd.domain
-
-let served sd = Atomic.get sd.served
+  Array.fold_left (fun acc ch -> acc + Shm_channel.reclaimed ch) 0 cl.cl_chans

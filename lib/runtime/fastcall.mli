@@ -22,11 +22,11 @@
     ({!channel_call_deadline}), [Errc.retry] backpressure, and optional
     shard supervision with automatic respawn ({!spawn_channel_server}).
 
-    Cross-domain calls have two embodiments: the {e channel path}
-    (preallocated request slabs + per-client SPSC rings + doorbell +
-    batched, optionally sharded servers; zero allocation after warm-up)
-    and the {e legacy path} (allocating MPSC + per-request condvar),
-    kept as the baseline the benchmarks compare against. *)
+    Cross-domain calls take the {e channel path}: inline under a free
+    shard ticket, or queued on an in-heap {!Shm_channel} segment per
+    client and shard (the same cell, ring and abandonment protocol that
+    crosses process boundaries) to batched, optionally sharded server
+    domains; zero allocation after warm-up. *)
 
 val max_entry_points : int
 val arg_words : int
@@ -197,73 +197,76 @@ type channel_server
 (** One or more server shard domains draining per-client channels. *)
 
 type client
-(** A per-calling-domain handle: one channel to every shard.  Use only
-    from the domain that [connect]ed (submission rings are
+(** A per-calling-domain handle: one segment to every shard.  Use only
+    from the domain that [connect]ed (a segment's client end is
     single-producer). *)
 
 val spawn_channel_server :
   ?shards:int ->
   ?server_spin:int ->
-  ?max_batch:int ->
   ?supervise:bool ->
   ?supervisor_poll:int ->
   t ->
   channel_server
-(** Spawn [shards] server domains (default 1).  Each drains up to
-    [max_batch] requests per channel sweep under its shard ticket,
-    steals from idle siblings, spins for [server_spin] iterations when
-    dry (default scales with the machine's parallelism), then parks on
-    its doorbell.
+(** Spawn [shards] server domains (default 1).  Each sweeps its
+    clients' segments under its shard ticket (a sweep takes what each
+    segment's ring holds, so the ring bounds the batch), steals from
+    idle siblings, spins for [server_spin] iterations when dry (default
+    scales with the machine's parallelism), then parks on its
+    doorbell.
 
     [supervise] (default [false]) also spawns a supervisor domain that
     polls every shard's heartbeat word (every [supervisor_poll]
     cpu-relax iterations).  A shard found dead (killed via
     {!kill_shard}) or wedged (heartbeat frozen across two polls with
     work visibly pending) has its reachable in-flight requests failed
-    with [Ipc_intf.Errc.handler_fault] — waking any parked clients —
+    with [Ipc_intf.Errc.handler_fault] — completing their waiting calls —
     and is respawned so subsequent calls succeed. *)
 
 val connect :
-  ?slab_capacity:int ->
-  ?slab_max:int ->
-  ?ring_capacity:int ->
+  ?capacity:int ->
   ?client_spin:int ->
   ?inline_uncontended:bool ->
   channel_server ->
   client
-(** Register this domain with every shard.  [ring_capacity] must be a
-    power of two; [client_spin] is the spin budget before a call parks
-    on its request cell (default scales with the machine's
-    parallelism).  [slab_max] caps each per-shard request slab: once
-    every cell is in flight further calls answer [Ipc_intf.Errc.retry]
-    instead of growing the slab (default unbounded).
-    [inline_uncontended] (default [true]) lets a call execute on the
-    caller's domain when the target shard's ticket is free — the
-    paper's PPC discipline; pass [false] to force every call through
-    the queued path (benchmarking the batching machinery). *)
+(** Register this domain with every shard: one in-heap {!Shm_channel}
+    segment per shard, the shard holding its server end.  [capacity]
+    (default 16) counts both the segment's request cells and its ring
+    slots, and must be a positive power of two; a call that finds every
+    cell in flight (in practice: cells abandoned by timed-out deadline
+    calls that the shard has not reclaimed yet) answers
+    [Ipc_intf.Errc.retry] instead of waiting.  [client_spin] is the spin
+    budget of a queued call's wait (default scales with the machine's
+    parallelism).  [inline_uncontended] (default [true]) lets a call
+    execute on the caller's domain when the target shard's ticket is
+    free — the paper's PPC discipline; pass [false] to force every call
+    through the queued path (benchmarking the batching machinery).
+    @raise Invalid_argument if [capacity] is not a power of two. *)
 
 val channel_call : client -> ep:int -> int array -> int
 (** Cross-domain call over the channel path: routed to shard
     [ep mod shards].  Uncontended calls run inline on the caller's
-    domain under the shard ticket; contended calls queue on this
-    client's SPSC channel for batched service.  Allocation-free after
-    warm-up either way.  Returns [args.(7)].  Never raises: unbound
-    entry points answer [Ipc_intf.Errc.no_entry], calls refused by a
-    quiescing server [Ipc_intf.Errc.killed], contained handler
-    exceptions [Ipc_intf.Errc.handler_fault], and a full submission
-    ring or exhausted bounded slab [Ipc_intf.Errc.retry] (see
-    {!Backoff}). *)
+    domain under the shard ticket; contended calls are submitted on this
+    client's segment to the shard, ring its doorbell, and wait on the
+    segment's ladder ({!Shm_channel.await}: spin, then sched_yield
+    rounds, then naps capped at 50 µs) — a queued client no longer
+    sleeps on a per-cell condvar, and a futex-backed wait can later
+    replace that ladder in its one place.  Allocation-free after
+    warm-up either way.  Returns [args.(7)].  Never raises: unbound entry points answer
+    [Ipc_intf.Errc.no_entry], calls refused by a quiescing server
+    [Ipc_intf.Errc.killed], contained handler exceptions
+    [Ipc_intf.Errc.handler_fault], and a segment with every cell in
+    flight [Ipc_intf.Errc.retry] (see {!Backoff}). *)
 
 val channel_call_deadline :
   client -> ep:int -> deadline:int -> int array -> int
 (** {!channel_call} with a wait bounded in wall-clock time: always
-    queued (never inline).  [deadline] is in {e nanoseconds}: the call
-    spins briefly, then parks in timed naps ({!Doorbell.timed_wait} —
-    sched_yield rounds, then nanosleeps capped at 50 µs, which also
-    bounds deadline overshoot), allocating nothing.  On expiry the
-    request cell is abandoned to the server via a CAS ownership handoff
-    and the call returns [Ipc_intf.Errc.timed_out]; the late reply, if
-    any, is discarded and the cell reclaimed exactly once.  All
+    queued (never inline).  [deadline] is in {e nanoseconds} from now:
+    the call climbs the same ladder, whose 50 µs nap cap also bounds
+    deadline overshoot, allocating nothing.  On expiry the request cell
+    is abandoned to the server via a CAS ownership handoff and the call
+    returns [Ipc_intf.Errc.timed_out]; the late reply, if any, is
+    discarded and the cell reclaimed exactly once.  All
     {!channel_call} error codes apply too. *)
 
 val client_inlined : client -> int
@@ -271,7 +274,7 @@ val client_inlined : client -> int
 
 val kill_shard : channel_server -> shard:int -> unit
 (** Fault injector: make the shard domain exit as if it had died,
-    leaving its backlog and parked clients stranded.  Pair with
+    leaving its backlog and waiting clients stranded.  Pair with
     [~supervise:true] to exercise detection and respawn, or with
     {!channel_call_deadline} to exercise client-side timeouts. *)
 
@@ -309,7 +312,8 @@ val shard_heartbeat : channel_server -> shard:int -> int
 (** The shard's liveness word (bumped every loop iteration). *)
 
 val client_slab_grows : client -> int
-(** Slab growth on this client — zero once warmed up. *)
+(** Always 0: a client's segments are fixed-size and answer
+    [Ipc_intf.Errc.retry] when full instead of growing. *)
 
 val client_timeouts : client -> int
 (** Deadline calls on this client that timed out. *)
@@ -319,17 +323,3 @@ val client_rejected : client -> int
 
 val client_slab_reclaimed : client -> int
 (** Abandoned cells the server reclaimed for this client. *)
-
-(** {1 Cross-domain: the legacy MPSC path (benchmark baseline)} *)
-
-type server_domain
-
-val spawn_server : t -> server_domain
-(** A domain that serves cross-domain requests from an MPSC queue. *)
-
-val cross_call : server_domain -> ep:int -> int array -> int
-(** Enqueue on the server domain and spin/yield until completion.
-    Allocates a request record, mutex and condvar per call. *)
-
-val shutdown_server : server_domain -> unit
-val served : server_domain -> int

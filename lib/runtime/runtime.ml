@@ -1,20 +1,27 @@
 (* Library interface: the PPC design principles on real OCaml 5
-   multicore — lock-free per-domain pools, MPSC cross-domain channels,
-   and the mutex-pool baseline they are measured against. *)
+   multicore — lock-free per-domain pools, one channel protocol on
+   shared-memory segments (in-heap between domains, mmap'd between
+   processes), and the crash containment around it.  The comparators
+   the benchmarks measure against (the MPSC + condvar legacy path, the
+   mutex-guarded registry) live in the benchmark library. *)
 
-module Mpsc_queue = Mpsc_queue
 module Spsc_ring = Spsc_ring
-module Request_slab = Request_slab
 module Doorbell = Doorbell
 module Backoff = Backoff
-module Ppc_channel = Ppc_channel
 module Fastcall = Fastcall
 module Segment = Segment
-module Shm_channel = Shm_channel
+
+(* The Fastcall dispatcher is defined in Control (Fastcall's channel
+   path is built on Shm_channel, so Shm_channel cannot depend on
+   Fastcall) and exported here under its protocol's name. *)
+module Shm_channel = struct
+  include Shm_channel
+
+  let fastcall_dispatch = Control.fastcall_dispatch
+end
+
 module Shm_session = Shm_session
 module Proc_supervisor = Proc_supervisor
 module Control = Control
-module Locked_registry = Locked_registry
-module Domain_pool = Domain_pool
 module Striped_counter = Striped_counter
 module Treiber_stack = Treiber_stack

@@ -1,7 +1,7 @@
-/* Timed-wait primitives for the runtime's deadline path.
+/* Waiting primitives for the runtime's wait ladder (Shm_channel).
  *
  * The OCaml stdlib offers no timed condition wait and no boxing-free
- * monotonic clock, so the deadline protocol gets three tiny stubs:
+ * monotonic clock, so waits bounded in time get three tiny stubs:
  *
  *   - now_ns: CLOCK_MONOTONIC in integer nanoseconds.  [@@noalloc] —
  *     the result is an immediate (63-bit nanoseconds since boot fit
@@ -59,15 +59,18 @@ CAMLprim value ppc_runtime_nap_ns(value ns)
 /* --- shared-segment words (Wire_abi) ------------------------------------
  *
  * The segment is a Bigarray of int64 words, either malloc'd in-heap or
- * an mmap'd file shared between processes.  OCaml's Atomic module only
- * covers heap refs, so the cross-process flavours live here: C11
- * __atomic builtins on the bigarray's data pointer.  Stored values are
- * OCaml immediates (63-bit), so every result fits Val_long and every
- * stub is [@@noalloc].
+ * an mmap'd file shared between processes; both go through these
+ * stubs.  OCaml's Atomic module only covers heap refs, so the word
+ * operations are C11 __atomic builtins on the bigarray's data pointer
+ * (plain stores compile to a mov, where Atomic.set is an xchg).
+ * Stored values are OCaml immediates (63-bit), so every result fits
+ * Val_long and every stub is [@@noalloc].
  *
- * Memory orders mirror what the in-heap path gets from Atomic.t:
- * acquire loads, release stores, seq_cst RMW — strong enough for the
- * publish-then-bump-tail ring discipline on both x86 and ARM.
+ * Memory orders: acquire loads, release stores, seq_cst RMW — strong
+ * enough for the publish-then-bump-tail ring discipline on both x86
+ * and ARM.  Not strong enough for store->load (Dekker) handshakes: a
+ * protocol that publishes a word and then reads another needs a
+ * seq_cst RMW in between (see Shm_channel.submit_raw).
  */
 
 static inline int64_t *seg_word(value ba, value idx)

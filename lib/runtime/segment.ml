@@ -2,66 +2,54 @@
    64-bit words with atomic access, behind which the call-path layout
    (Ipc_intf.Wire_abi) is position-independent.
 
-   Two backends:
+   One representation: a Bigarray of int64 with atomicity supplied by
+   C11 __atomic stubs on the data pointer.  Where the words live is the
+   only difference between segments:
 
-   - [Heap]: an [int Atomic.t] per word, private to this process.  This
-     is the existing in-heap discipline the zero-alloc channel path is
-     built on, exposed through the same offset addressing so every
-     protocol written against a segment can be unit-tested without
-     touching the filesystem.
+   - [create_heap]: a zero-filled Bigarray private to this process.
+     Every protocol written against a segment runs here without touching
+     the filesystem — Fastcall's queued channel path, the unit tests and
+     the in-process baselines.
 
-   - [Shm]: a Bigarray of int64 over an mmap'd file ([Unix.map_file]
-     with [shared:true]), with atomicity supplied by C11 __atomic stubs
-     on the data pointer.  Two OS processes mapping the same file see
-     one coherent word array — the modern "CXL fabric" shape of the
-     paper's shared-memory call path.
+   - [map_file]: the same Bigarray over an mmap'd file
+     ([Unix.map_file] with [shared:true]).  Two OS processes mapping the
+     same file see one coherent word array — the modern "CXL fabric"
+     shape of the paper's shared-memory call path.
 
-   Words hold OCaml immediates (63-bit); the Shm backend stores them
-   sign-extended in 64 bits, little-endian (see Wire_abi's endianness
-   canary).  All accessors are allocation-free on both backends. *)
+   Words hold OCaml immediates (63-bit), stored sign-extended in 64
+   bits, little-endian (see Wire_abi's endianness canary).  All
+   accessors are allocation-free.  The stubs give acquire loads,
+   release stores and sequentially consistent RMWs; a store followed by
+   a load of a different word is therefore NOT ordered (store->load
+   needs a fence), which is why protocols that publish-then-check lean
+   on a [fetch_add] or [cas] between the two. *)
 
-type shm_map = (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t
-type shm = { map : shm_map; path : string }
-type t = Heap of int Atomic.t array | Shm of shm
+type map = (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t
+type t = { map : map; path : string option }
 
-external shm_load : shm_map -> int -> int = "ppc_seg_load" [@@noalloc]
+external seg_load : map -> int -> int = "ppc_seg_load" [@@noalloc]
+external seg_store : map -> int -> int -> unit = "ppc_seg_store" [@@noalloc]
 
-external shm_store : shm_map -> int -> int -> unit = "ppc_seg_store"
+external seg_cas : map -> int -> int -> int -> bool = "ppc_seg_cas"
   [@@noalloc]
 
-external shm_cas : shm_map -> int -> int -> int -> bool = "ppc_seg_cas"
+external seg_fetch_add : map -> int -> int -> int = "ppc_seg_fetch_add"
   [@@noalloc]
 
-external shm_fetch_add : shm_map -> int -> int -> int = "ppc_seg_fetch_add"
-  [@@noalloc]
-
-external shm_msync : shm_map -> int = "ppc_seg_msync"
-external shm_madvise : shm_map -> int -> int = "ppc_seg_madvise" [@@noalloc]
+external seg_msync : map -> int = "ppc_seg_msync"
+external seg_madvise : map -> int -> int = "ppc_seg_madvise" [@@noalloc]
 external pid_alive : int -> bool = "ppc_pid_alive" [@@noalloc]
 
-let length = function
-  | Heap a -> Array.length a
-  | Shm s -> Bigarray.Array1.dim s.map
+let length t = Bigarray.Array1.dim t.map
 
 let check t i =
   if i < 0 || i >= length t then
     invalid_arg (Printf.sprintf "Segment: word %d out of bounds" i)
 
-let get t i =
-  match t with Heap a -> Atomic.get a.(i) | Shm s -> shm_load s.map i
-
-let set t i v =
-  match t with Heap a -> Atomic.set a.(i) v | Shm s -> shm_store s.map i v
-
-let cas t i ~expected ~desired =
-  match t with
-  | Heap a -> Atomic.compare_and_set a.(i) expected desired
-  | Shm s -> shm_cas s.map i expected desired
-
-let fetch_add t i d =
-  match t with
-  | Heap a -> Atomic.fetch_and_add a.(i) d
-  | Shm s -> shm_fetch_add s.map i d
+let get t i = seg_load t.map i
+let set t i v = seg_store t.map i v
+let cas t i ~expected ~desired = seg_cas t.map i expected desired
+let fetch_add t i d = seg_fetch_add t.map i d
 
 (* Bounds-checked flavours for management paths; the call path uses the
    unchecked ones above (offsets are computed from a validated header,
@@ -73,7 +61,9 @@ let set_checked t i v = check t i; set t i v
 
 let create_heap ~words =
   if words <= 0 then invalid_arg "Segment.create_heap: words must be > 0";
-  Heap (Array.init words (fun _ -> Atomic.make 0))
+  let map = Bigarray.Array1.create Bigarray.Int64 Bigarray.C_layout words in
+  Bigarray.Array1.fill map 0L;
+  { map; path = None }
 
 (* Map [words] 64-bit words of [path].  [create] truncates (fresh
    segment, creator zeroes and lays it out); without it the file must
@@ -91,25 +81,27 @@ let map_file ~path ~words ~create () =
       let g =
         Unix.map_file fd Bigarray.Int64 Bigarray.C_layout true [| words |]
       in
-      Shm { map = Bigarray.array1_of_genarray g; path })
+      { map = Bigarray.array1_of_genarray g; path = Some path })
 
-let path = function Heap _ -> None | Shm s -> Some s.path
+let path t = t.path
 
-let msync = function Heap _ -> 0 | Shm s -> shm_msync s.map
+(* The file-only operations are no-ops on a heap segment: its words are
+   malloc'd, not page-aligned, and have no file to flush or remove. *)
+let msync t = match t.path with None -> 0 | Some _ -> seg_msync t.map
 
 type advice = Madv_normal | Madv_willneed | Madv_dontneed
 
 let madvise t advice =
-  match t with
-  | Heap _ -> 0
-  | Shm s ->
-      shm_madvise s.map
+  match t.path with
+  | None -> 0
+  | Some _ ->
+      seg_madvise t.map
         (match advice with
         | Madv_normal -> 0
         | Madv_willneed -> 1
         | Madv_dontneed -> 2)
 
 let unlink t =
-  match t with
-  | Heap _ -> ()
-  | Shm s -> ( try Unix.unlink s.path with Unix.Unix_error _ -> ())
+  match t.path with
+  | None -> ()
+  | Some p -> ( try Unix.unlink p with Unix.Unix_error _ -> ())

@@ -2,16 +2,17 @@
     63-bit words with atomic get/set/CAS/fetch-add, addressed by the
     position-independent layout in {!Ipc_intf.Wire_abi}.
 
-    Two backends: [Heap] (an [int Atomic.t] per word — this process
-    only, the existing in-heap discipline) and [Shm] (int64 Bigarray
-    over an mmap'd file with C11-atomic stubs — one coherent word array
-    shared by separate OS processes).  All word accessors are
-    allocation-free on both backends. *)
+    One backend: an int64 Bigarray driven by C11-atomic stubs, either
+    private to this process ({!create_heap}) or over an mmap'd file
+    shared by separate OS processes ({!map_file}).  All word accessors
+    are allocation-free.  Stores are release-only: a store followed by
+    a load of another word is not ordered without an intervening
+    {!fetch_add} or {!cas}. *)
 
 type t
 
 val create_heap : words:int -> t
-(** A zero-filled in-process segment. *)
+(** A zero-filled in-process segment (no backing file). *)
 
 val map_file : path:string -> words:int -> create:bool -> unit -> t
 (** Map [words] 64-bit words of the file at [path], [MAP_SHARED].
@@ -43,16 +44,16 @@ val path : t -> string option
 (** The backing file, if any. *)
 
 val msync : t -> int
-(** Flush an [Shm] mapping to its file (synchronous).  Returns 0 or a
-    negated errno; 0 and a no-op on [Heap]. *)
+(** Flush a file mapping to its file (synchronous).  Returns 0 or a
+    negated errno; 0 and a no-op on a heap segment. *)
 
 type advice = Madv_normal | Madv_willneed | Madv_dontneed
 
 val madvise : t -> advice -> int
-(** Paging advice for an [Shm] mapping; 0 and a no-op on [Heap]. *)
+(** Paging advice for a file mapping; 0 and a no-op on a heap segment. *)
 
 val unlink : t -> unit
-(** Remove the backing file (best-effort); no-op on [Heap]. *)
+(** Remove the backing file (best-effort); no-op on a heap segment. *)
 
 val pid_alive : int -> bool
 (** [kill(pid, 0)] liveness probe.  A zombie counts as alive, so a

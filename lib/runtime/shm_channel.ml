@@ -1,19 +1,23 @@
-(* The channel call path re-hosted on a Segment: Request_slab cells,
-   Spsc_ring.Raw head/tail/slots, the doorbell word and the lifecycle /
-   heartbeat words all become offsets computed from Ipc_intf.Wire_abi —
-   so the identical protocol runs over an in-heap word array (tests,
-   single-process baselines) and over an mmap'd file shared by two OS
-   processes (true cross-protection-domain PPC, the paper's call path
-   with the protection boundary finally real).
+(* The channel call path on a Segment: request cells, SPSC ring
+   head/tail/slots, the doorbell word and the lifecycle / heartbeat
+   words are all offsets computed from Ipc_intf.Wire_abi — so the
+   identical protocol runs over an in-heap word array (Fastcall's queued
+   channel path, one segment per (client, shard) pair; tests) and over
+   an mmap'd file shared by two OS processes (true cross-protection-
+   domain PPC, the paper's call path with the protection boundary
+   finally real).
 
    Roles.  A segment hosts exactly one server and one client, each
    represented by a [t] in its own process (or domain).  The client
    owns the submission ring's tail, the free stack and every cell not
    in flight; the server owns the submission ring's head and the
-   reclaim ring's tail.  All waits are spin -> yield -> nap loops on
-   segment words: processes cannot share condvars, so the Doorbell
-   PARKED protocol degenerates to timed naps (the nap cap bounds wakeup
-   latency the same way it bounds deadline overshoot in-process).
+   reclaim ring's tail.  Every wait in this module — the client's
+   [await] and the serving loop's idle — climbs one ladder
+   ([idle_step]): spin, then sched_yield, then naps doubling to a cap
+   that bounds both wakeup latency and deadline overshoot.  Processes
+   cannot share condvars, so a segment carries no PARKED protocol of
+   its own; an in-process server that wants to sleep (a Fastcall shard)
+   parks on its own Doorbell and rechecks [pending].
 
    Crash containment across whole-process death.  Each side bumps its
    heartbeat word continuously; a waiter whose peer's heartbeat stays
@@ -27,7 +31,7 @@
 
    so every in-flight call observes [Errc.handler_fault], every cell
    returns to the free stack exactly once, and submissions after the
-   verdict answer [Errc.peer_dead].  This is the Request_slab §4.5.6
+   verdict answer [Errc.peer_dead].  This is the paper's §4.5.6 CD
    reclamation contract, extended from "server shard died" to "the
    entire peer process is gone".
 
@@ -122,11 +126,7 @@ let total_words ~capacity ~arg_words = W.total_words ~capacity ~arg_words
    an odd value is skipped past, so no two builds share a generation
    and an attacher can always order them. *)
 let layout ?(capacity = 64) ?(arg_words = 8) seg =
-  if capacity <= 0 || capacity land (capacity - 1) <> 0 then
-    invalid_arg
-      (Printf.sprintf
-         "Shm_channel.layout: capacity must be a positive power of two (got %d)"
-         capacity);
+  Spsc_ring.validate_capacity "Shm_channel.layout" capacity;
   if arg_words <= 0 then
     invalid_arg "Shm_channel.layout: arg_words must be > 0";
   let words = total_words ~capacity ~arg_words in
@@ -158,13 +158,10 @@ let layout ?(capacity = 64) ?(arg_words = 8) seg =
   done;
   Segment.set seg W.off_generation (building + 1) (* even: open for attach *)
 
-let create_heap ?capacity ?arg_words () =
-  let capacity' = Option.value capacity ~default:64 in
-  let arg_words' = Option.value arg_words ~default:8 in
-  let seg =
-    Segment.create_heap ~words:(total_words ~capacity:capacity' ~arg_words:arg_words')
-  in
-  layout ?capacity ?arg_words seg;
+let create_heap ?(capacity = 64) ?(arg_words = 8) () =
+  Spsc_ring.validate_capacity "Shm_channel.create_heap" capacity;
+  let seg = Segment.create_heap ~words:(total_words ~capacity ~arg_words) in
+  layout ~capacity ~arg_words seg;
   seg
 
 let create_file ~path ?(capacity = 64) ?(arg_words = 8) () =
@@ -311,6 +308,33 @@ let generation t = t.gen
    this endpoint attached: every operation on [t] now fails closed. *)
 let stale t = Segment.get t.seg W.off_generation <> t.gen
 
+(* --- the wait ladder -------------------------------------------------------- *)
+
+let yield_rounds = 64
+let nap_floor_ns = 1_000
+let nap_cap_ns = 50_000
+
+(* One rung of the module's only wait ladder, shared by [await] and the
+   serving loop: [t.spin] cpu-relax rungs, then [yield_rounds]
+   sched_yield rungs (on a single core they hand the CPU to the peer
+   that owes the work), then naps doubling from [nap_floor_ns] to
+   [nap_cap_ns].  [idle] counts rungs climbed so far; the result is the
+   nap for the next rung.  Immediate ints in and out, so a waiter
+   climbing it allocates nothing. *)
+let idle_step t idle nap =
+  if idle < t.spin then begin
+    Domain.cpu_relax ();
+    nap
+  end
+  else if idle < t.spin + yield_rounds then begin
+    Doorbell.yield ();
+    nap
+  end
+  else begin
+    Doorbell.nap_ns nap;
+    min (2 * nap) nap_cap_ns
+  end
+
 (* --- liveness -------------------------------------------------------------- *)
 
 (* One probe step, called from wait loops.  Cheap path: peer heartbeat
@@ -423,6 +447,15 @@ let submit_raw t ~ep args =
         Segment.set t.seg (cell_state t i) W.state_pending;
         Segment.set t.seg (W.submit_slot ~capacity:cap tail) i;
         Segment.set t.seg W.submit_tail (tail + 1);
+        (* Keep this a seq_cst RMW.  Segment stores are release-only, so
+           the tail store above does not order a later load of another
+           word; this fetch_add is the store->load fence between
+           publishing the tail and the caller's next read.  Fastcall's
+           queued path reads its shard's Doorbell right after, and a
+           parked shard publishes PARKED and then rechecks [pending]:
+           without the fence both could read the other's old value and
+           the call would sit in the ring with the shard asleep (the
+           Dekker-shaped lost wakeup). *)
         ignore (Segment.fetch_add t.seg W.off_doorbell 1 : int);
         bump_heartbeat t;
         t.submitted <- t.submitted + 1;
@@ -442,14 +475,21 @@ let submit t ~ep args =
    [Errc.timed_out].  Peer death answers [Errc.handler_fault] via the
    sweep; a segment rebuilt mid-wait answers [Errc.stale_generation]
    and orphans the cell with the old session (the channel is defunct —
-   do not recycle into a slab that no longer exists).  Spin -> yield ->
-   nap; allocation-free. *)
-(* The wait loop is a top-level function taking its whole state as
-   immediate arguments — a local recursive closure (or ref cells) would
-   cost a minor allocation per call and break the zero-alloc pin. *)
-let rec await_loop t i args deadline st_off spins nap =
-  let st = Segment.get t.seg st_off in
-  if st = W.state_done then begin
+   do not recycle into a slab that no longer exists).  Climbs the wait
+   ladder; allocation-free.
+
+   While the ladder is on its spin rungs the state word is the only
+   thing read: the clock, the staleness and liveness checks and this
+   side's heartbeat all wait until the reply is late, so a reply that
+   lands while spinning costs one load per rung.  (A deadline shorter
+   than the spin budget therefore still pays the whole spin — a few
+   dozen microseconds at most.)
+
+   The loop is a top-level function taking its whole state as immediate
+   arguments — a local recursive closure (or ref cells) would cost a
+   minor allocation per call and break the zero-alloc pin. *)
+let rec await_loop t i args deadline st_off idle nap =
+  if Segment.get t.seg st_off = W.state_done then begin
     for j = 0 to t.arg_words - 1 do
       args.(j) <- Segment.get t.seg (cell_arg t i j)
     done;
@@ -458,6 +498,8 @@ let rec await_loop t i args deadline st_off spins nap =
     t.free_len <- t.free_len + 1;
     args.(t.rc_slot)
   end
+  else if idle < t.spin then
+    await_loop t i args deadline st_off (idle + 1) (idle_step t idle nap)
   else if deadline <> max_int && Doorbell.now_ns () > deadline then
     if
       Segment.cas t.seg st_off ~expected:W.state_pending
@@ -469,7 +511,7 @@ let rec await_loop t i args deadline st_off spins nap =
       args.(t.rc_slot) <- Errc.timed_out;
       Errc.timed_out
     end
-    else await_loop t i args deadline st_off spins nap
+    else await_loop t i args deadline st_off idle nap
     (* lost the race to Done: take the reply *)
   else if stale t then begin
     args.(t.rc_slot) <- Errc.stale_generation;
@@ -478,15 +520,13 @@ let rec await_loop t i args deadline st_off spins nap =
   else begin
     if probe_peer t then ignore (sweep_dead_peer t : int);
     bump_heartbeat t;
-    if spins < t.spin then Domain.cpu_relax ()
-    else if spins < t.spin + 64 then Doorbell.yield ()
-    else Doorbell.nap_ns nap;
-    await_loop t i args deadline st_off (spins + 1)
-      (if spins < t.spin + 64 then nap else min (2 * nap) 50_000)
+    await_loop t i args deadline st_off (idle + 1) (idle_step t idle nap)
   end
 
-let await ?(deadline = max_int) t i args =
-  await_loop t i args deadline (cell_state t i) 0 1_000
+let await_deadline t ~deadline i args =
+  await_loop t i args deadline (cell_state t i) 0 nap_floor_ns
+
+let await ?(deadline = max_int) t i args = await_deadline t ~deadline i args
 
 let call t ~ep args =
   let i = submit_raw t ~ep args in
@@ -502,7 +542,7 @@ let call_deadline t ~ep ~deadline args =
     args.(t.rc_slot) <- i;
     i
   end
-  else await ~deadline t i args
+  else await_deadline t ~deadline i args
 
 (* Announce clean shutdown to the serving side (its loop exits once the
    ring is dry). *)
@@ -568,50 +608,6 @@ let serve_once t ~dispatch =
   bump_heartbeat t;
   !served
 
-(* The server loop: drain, park in growing naps when dry, exit when the
-   client announces shutdown (and the ring is dry), is found dead
-   (after reclaiming its cells), or the segment is regenerated
-   underneath this server (a supervisor replaced it while it was
-   presumed dead — fail closed, and in particular do not write a
-   shutdown announcement into a session that is no longer ours).
-   Returns the number of requests served over the loop's lifetime. *)
-let serve t ~dispatch =
-  let continue_ = ref true in
-  let nap = ref 1_000 in
-  let idle = ref 0 in
-  while !continue_ do
-    if stale t then continue_ := false
-    else begin
-      let n = serve_once t ~dispatch in
-      if n > 0 then begin
-        nap := 1_000;
-        idle := 0
-      end
-      else begin
-        if Segment.get t.seg (peer_state_off t) = W.peer_shutdown then
-          continue_ := false
-        else if probe_peer t then begin
-          ignore (sweep_dead_peer t : int);
-          continue_ := false
-        end
-        else begin
-          (* Same spin -> yield -> nap ladder as the client's await: a
-             server that napped the instant the ring went dry would put a
-             wakeup latency on every ping-pong round trip. *)
-          incr idle;
-          if !idle < t.spin then Domain.cpu_relax ()
-          else if !idle < t.spin + 64 then Doorbell.yield ()
-          else begin
-            Doorbell.nap_ns !nap;
-            nap := min (2 * !nap) 50_000
-          end
-        end
-      end
-    end
-  done;
-  if not (stale t) then announce_shutdown t;
-  t.served
-
 (* Release a dead (or departed) client's session so the segment can
    host a successor without a server restart: sweep the client's cells
    exactly once (every in-flight call gets its verdict, every stranded
@@ -652,119 +648,49 @@ let release_session t =
   t.peer_hb_seen <- 0;
   t.peer_hb_changed_ns <- Doorbell.now_ns ()
 
-(* The multi-session server loop: like [serve], but a client found dead
-   is swept and its session released ([on_release] fires once per
-   release), after which the loop keeps serving for the next client.
-   Exits on a clean client shutdown or on regeneration underneath.
-   Returns requests served over the loop's lifetime.  Server only. *)
+(* Work visible in the submission ring.  Server side: the recheck a
+   parked in-process server runs before it sleeps, and a supervisor's
+   "is this server owed work?" probe. *)
+let pending t =
+  Segment.get t.seg W.submit_tail <> Segment.get t.seg W.submit_head
+
+(* The serving loop: drain, climb the wait ladder when dry, and exit
+   when the client announces shutdown (and the ring is dry) or the
+   segment is regenerated underneath this server (a supervisor
+   replaced it while it was presumed dead — fail closed, and in
+   particular do not write a shutdown announcement into a session that
+   is no longer ours).  What a confirmed client death triggers is the
+   only difference between [serve] and [serve_sessions]: with no
+   [on_release] the loop sweeps the dead client's cells and exits; with
+   one it releases the session, fires [on_release] and keeps serving
+   for the next client. *)
+let rec serve_loop t ~dispatch ~on_release idle nap =
+  if stale t then ()
+  else if serve_once t ~dispatch > 0 then
+    serve_loop t ~dispatch ~on_release 0 nap_floor_ns
+  else if Segment.get t.seg (peer_state_off t) = W.peer_shutdown then ()
+  else if probe_peer t then begin
+    match on_release with
+    | None -> ignore (sweep_dead_peer t : int)
+    | Some f ->
+        release_session t;
+        f ();
+        serve_loop t ~dispatch ~on_release 0 nap_floor_ns
+  end
+  else serve_loop t ~dispatch ~on_release (idle + 1) (idle_step t idle nap)
+
+let run_server t ~dispatch ~on_release =
+  serve_loop t ~dispatch ~on_release 0 nap_floor_ns;
+  if not (stale t) then announce_shutdown t;
+  t.served
+
+let serve t ~dispatch = run_server t ~dispatch ~on_release:None
+
 let serve_sessions ?(on_release = fun () -> ()) t ~dispatch =
   (match t.role with
   | Server -> ()
   | Client -> invalid_arg "Shm_channel.serve_sessions: server role required");
-  let continue_ = ref true in
-  let nap = ref 1_000 in
-  let idle = ref 0 in
-  while !continue_ do
-    if stale t then continue_ := false
-    else begin
-      let n = serve_once t ~dispatch in
-      if n > 0 then begin
-        nap := 1_000;
-        idle := 0
-      end
-      else if Segment.get t.seg (peer_state_off t) = W.peer_shutdown then
-        continue_ := false
-      else if probe_peer t then begin
-        release_session t;
-        on_release ();
-        nap := 1_000;
-        idle := 0
-      end
-      else begin
-        incr idle;
-        if !idle < t.spin then Domain.cpu_relax ()
-        else if !idle < t.spin + 64 then Doorbell.yield ()
-        else begin
-          Doorbell.nap_ns !nap;
-          nap := min (2 * !nap) 50_000
-        end
-      end
-    end
-  done;
-  if not (stale t) then announce_shutdown t;
-  t.served
-
-(* A dispatcher over a Fastcall table + control plane: the thing that
-   makes a shared segment a full IPC endpoint.  Decodes the cell's
-   entry-point word (versioned handle / raw ID / control plane) and
-   speaks the Wire_abi management vocabulary — registration ships
-   behavior *specs* (two words) that are compiled against this very
-   table, so self-killing behaviors target the entry point they were
-   registered under, exactly like the in-process subjects. *)
-let fastcall_dispatch ?(principal = 7) fast ctl : dispatch =
-  let nap_ms ms = Doorbell.nap_ns (ms * 1_000_000) in
-  let compile ~self spec =
-    let kill k () =
-      match !self with Some ep -> k ep | None -> Errc.no_entry
-    in
-    let b =
-      Ipc_intf.Sigs.compile
-        ~kill_soft:(kill (fun ep -> Fastcall.soft_kill_h fast ep))
-        ~kill_hard:(kill (fun ep -> Fastcall.hard_kill_h fast ep))
-        ~nap_ms spec
-    in
-    fun (_ : Fastcall.ctx) args -> b args
-  in
-  fun ~ep_word args ->
-    let rc_slot = Array.length args - 1 in
-    if ep_word = W.ctl_ep then begin
-      let ret rc =
-        args.(rc_slot) <- rc;
-        rc
-      in
-      let op = args.(0) in
-      if op = W.ctl_register then (
-        match W.spec_of_wire ~code:args.(1) ~param:args.(2) with
-        | None -> ret Errc.bad_request
-        | Some spec ->
-            let self = ref None in
-            let ep = Fastcall.register_ep fast (compile ~self spec) in
-            self := Some ep;
-            args.(0) <- Fastcall.ep_to_wire ep;
-            ret Errc.ok)
-      else if op = W.ctl_publish then
-        let name = W.unpack_name (args.(2), args.(3)) in
-        ret
-          (Control.publish ctl ~principal ~name ~ep:(W.handle_slot args.(1)))
-      else if op = W.ctl_lookup then (
-        match Control.lookup ctl ~name:(W.unpack_name (args.(1), args.(2))) with
-        | Ok id ->
-            args.(0) <- id;
-            ret Errc.ok
-        | Error rc -> ret rc)
-      else if op = W.ctl_exchange then (
-        match W.spec_of_wire ~code:args.(2) ~param:args.(3) with
-        | None -> ret Errc.bad_request
-        | Some spec ->
-            let ep = Fastcall.ep_of_wire args.(1) in
-            ret (Fastcall.exchange_h fast ep (compile ~self:(ref (Some ep)) spec)))
-      else if op = W.ctl_soft_kill then
-        ret (Fastcall.soft_kill_h fast (Fastcall.ep_of_wire args.(1)))
-      else if op = W.ctl_hard_kill then
-        ret (Fastcall.hard_kill_h fast (Fastcall.ep_of_wire args.(1)))
-      else if op = W.ctl_in_flight then begin
-        args.(0) <- Fastcall.in_flight_h fast (Fastcall.ep_of_wire args.(1));
-        ret Errc.ok
-      end
-      else ret Errc.bad_request
-    end
-    else if W.is_raw_call ep_word then (
-      match Fastcall.call fast ~ep:(W.raw_call_id ep_word) args with
-      | rc -> rc
-      | exception Fastcall.No_entry _ ->
-          args.(rc_slot) <- Errc.no_entry;
-          Errc.no_entry)
-    else Fastcall.call_h fast (Fastcall.ep_of_wire ep_word) args
+  run_server t ~dispatch ~on_release:(Some on_release)
 
 (* --- observability --------------------------------------------------------- *)
 

@@ -1,8 +1,9 @@
-(** The channel call path re-hosted on a {!Segment}: request cells,
-    SPSC rings, doorbell, lifecycle and heartbeat words all live at
+(** The channel call path on a {!Segment}: request cells, SPSC rings,
+    doorbell, lifecycle and heartbeat words all live at
     {!Ipc_intf.Wire_abi} offsets, so the same protocol runs in-heap
-    (tests, baselines) and over an mmap'd file shared by two OS
-    processes — genuinely cross-protection-domain PPC.
+    (Fastcall's queued channel path, one segment per client and shard;
+    tests) and over an mmap'd file shared by two OS processes —
+    genuinely cross-protection-domain PPC.
 
     One segment pairs one server with one client; each side holds a [t]
     with its own role.  The warm submit/await path allocates nothing.
@@ -45,7 +46,9 @@ val regenerate : Segment.t -> unit
     @raise Bad_segment if the magic word is missing. *)
 
 val create_heap : ?capacity:int -> ?arg_words:int -> unit -> Segment.t
-(** An in-process segment, laid out and ready to attach both roles. *)
+(** An in-process segment, laid out and ready to attach both roles.
+    @raise Invalid_argument under the same capacity contract as
+    {!layout}. *)
 
 val create_file :
   path:string -> ?capacity:int -> ?arg_words:int -> unit -> Segment.t
@@ -113,7 +116,16 @@ val await : ?deadline:int -> t -> int -> int array -> int
     ring) and the call answers [Errc.timed_out].  Peer death answers
     [Errc.handler_fault]; a regeneration mid-wait answers
     [Errc.stale_generation] (the cell died with the old session — do
-    not reuse this [t]).  Spin -> yield -> nap; allocation-free. *)
+    not reuse this [t]).  The wait is the module's one ladder: [spin]
+    cpu-relax rounds polling the state word alone, then sched_yield
+    rounds, then naps doubling to a 50 µs cap (which also bounds
+    deadline overshoot); allocation-free. *)
+
+val await_deadline : t -> deadline:int -> int -> int array -> int
+(** [await ~deadline] without the option box: passing an optional
+    argument explicitly allocates a [Some] per call, so a caller that
+    always has a deadline ([max_int] for none) and must stay
+    allocation-free uses this form. *)
 
 val call : t -> ep:int -> int array -> int
 (** [submit] + [await]. *)
@@ -134,11 +146,16 @@ val serve_once : t -> dispatch:dispatch -> int
 (** Drain the submission ring once; returns requests served.  Recycles
     cells abandoned mid-flight exactly once (CAS-arbitrated). *)
 
+val pending : t -> bool
+(** Work is visible in the submission ring.  For a server that parks
+    outside the segment (a Fastcall shard on its Doorbell): the recheck
+    it runs after publishing that it is parked. *)
+
 val serve : t -> dispatch:dispatch -> int
-(** The server loop: drain, park in growing naps when dry, exit on the
-    client's shutdown announcement, its confirmed death (after
-    reclaiming its cells), or a regeneration underneath this server
-    (fail closed).  Returns total requests served. *)
+(** The server loop: drain, climb the same wait ladder as {!await} when
+    dry, exit on the client's shutdown announcement, its confirmed death
+    (after reclaiming its cells), or a regeneration underneath this
+    server (fail closed).  Returns total requests served. *)
 
 val release_session : t -> unit
 (** After a confirmed client death: sweep exactly once, then rebuild
@@ -153,13 +170,6 @@ val serve_sessions : ?on_release:(unit -> unit) -> t -> dispatch:dispatch -> int
     the loop keeps serving for the next client ([on_release] fires once
     per release).  Exits on a clean client shutdown or on regeneration
     underneath.  Returns total requests served.  Server only. *)
-
-val fastcall_dispatch : ?principal:int -> Fastcall.t -> Control.t -> dispatch
-(** A dispatcher over a Fastcall table and its control plane: versioned
-    wire handles and raw-ID calls reach the table, [Wire_abi.ctl_ep]
-    carries the management vocabulary (register-by-spec, publish,
-    lookup, exchange, kills, in-flight) — everything the cross-process
-    conformance subject needs. *)
 
 (** {1 Peer liveness} *)
 

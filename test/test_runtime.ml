@@ -1,5 +1,7 @@
-(* Tests for the real-multicore runtime: lock-free queues, the fastcall
-   registry, the locked baseline, and the domain pool.
+(* Tests for the real-multicore runtime: the fastcall registry and its
+   channel path, plus the benchmark baselines it is measured against
+   (the MPSC queue, the legacy MPSC call path, the locked registry and
+   the domain pool, all in bench_lib).
 
    These run real OCaml 5 domains.  The container may have a single core;
    everything here is correctness, not speedup. *)
@@ -9,13 +11,13 @@ let qcheck = QCheck_alcotest.to_alcotest
 (* --- MPSC queue --------------------------------------------------------- *)
 
 let test_mpsc_fifo_single_producer () =
-  let q = Runtime.Mpsc_queue.create () in
+  let q = Mpsc_queue.create () in
   for i = 1 to 100 do
-    Runtime.Mpsc_queue.push q i
+    Mpsc_queue.push q i
   done;
   let out = ref [] in
   let rec drain () =
-    match Runtime.Mpsc_queue.pop q with
+    match Mpsc_queue.pop q with
     | Some v ->
         out := v :: !out;
         drain ()
@@ -24,35 +26,35 @@ let test_mpsc_fifo_single_producer () =
   drain ();
   Alcotest.(check (list int)) "fifo" (List.init 100 (fun i -> i + 1))
     (List.rev !out);
-  Alcotest.(check bool) "empty after drain" true (Runtime.Mpsc_queue.is_empty q)
+  Alcotest.(check bool) "empty after drain" true (Mpsc_queue.is_empty q)
 
 let prop_mpsc_roundtrip =
   QCheck.Test.make ~name:"mpsc preserves sequence" ~count:100
     QCheck.(list int)
     (fun xs ->
-      let q = Runtime.Mpsc_queue.create () in
-      List.iter (Runtime.Mpsc_queue.push q) xs;
+      let q = Mpsc_queue.create () in
+      List.iter (Mpsc_queue.push q) xs;
       let rec drain acc =
-        match Runtime.Mpsc_queue.pop q with
+        match Mpsc_queue.pop q with
         | Some v -> drain (v :: acc)
         | None -> List.rev acc
       in
       drain [] = xs)
 
 let test_mpsc_multi_producer_total () =
-  let q = Runtime.Mpsc_queue.create () in
+  let q = Mpsc_queue.create () in
   let producers = 4 and per = 500 in
   let domains =
     List.init producers (fun p ->
         Domain.spawn (fun () ->
             for i = 0 to per - 1 do
-              Runtime.Mpsc_queue.push q ((p * per) + i)
+              Mpsc_queue.push q ((p * per) + i)
             done))
   in
   List.iter Domain.join domains;
   let seen = Hashtbl.create 64 in
   let rec drain n =
-    match Runtime.Mpsc_queue.pop q with
+    match Mpsc_queue.pop q with
     | Some v ->
         Alcotest.(check bool) "no duplicates" false (Hashtbl.mem seen v);
         Hashtbl.replace seen v ();
@@ -63,16 +65,6 @@ let test_mpsc_multi_producer_total () =
   Alcotest.(check int) "all elements arrived" (producers * per) n
 
 (* --- SPSC ring ----------------------------------------------------------- *)
-
-let test_spsc_capacity () =
-  let r = Runtime.Spsc_ring.create ~capacity:4 in
-  Alcotest.(check int) "capacity" 4 (Runtime.Spsc_ring.capacity r);
-  for i = 1 to 4 do
-    Alcotest.(check bool) "push fits" true (Runtime.Spsc_ring.try_push r i)
-  done;
-  Alcotest.(check bool) "full rejects" false (Runtime.Spsc_ring.try_push r 5);
-  Alcotest.(check (option int)) "pop first" (Some 1) (Runtime.Spsc_ring.try_pop r);
-  Alcotest.(check bool) "space again" true (Runtime.Spsc_ring.try_push r 5)
 
 (* The uniform capacity contract: every capacity-taking constructor
    speaks the same [Invalid_argument] sentence (via
@@ -86,71 +78,27 @@ let test_spsc_power_of_two_required () =
     (fun bad ->
       Alcotest.check_raises
         (Printf.sprintf "capacity %d rejected" bad)
-        (Invalid_argument (capacity_message "Spsc_ring.create" bad))
-        (fun () -> ignore (Runtime.Spsc_ring.create ~capacity:bad)))
+        (Invalid_argument (capacity_message "Spsc_ring.Raw.create" bad))
+        (fun () -> ignore (Runtime.Spsc_ring.Raw.create ~capacity:bad ~dummy:0)))
     [ 6; 0; -1; 3; 1000 ]
 
 let test_uniform_capacity_contract () =
-  (* Raw rings and the request slab reuse the exact same validator —
-     same wording, their own constructor name. *)
+  (* Raw rings and shared-memory segments (and so Fastcall's [connect],
+     which builds one per shard) reuse the exact same validator — same
+     wording, their own constructor name. *)
   Alcotest.check_raises "Raw.create capacity 0"
     (Invalid_argument (capacity_message "Spsc_ring.Raw.create" 0))
     (fun () -> ignore (Runtime.Spsc_ring.Raw.create ~capacity:0 ~dummy:0));
-  Alcotest.check_raises "Request_slab.create capacity 6"
-    (Invalid_argument (capacity_message "Request_slab.create" 6))
-    (fun () ->
-      ignore (Runtime.Request_slab.create ~capacity:6 ~arg_words:8 ()));
-  Alcotest.check_raises "Request_slab.create capacity -4"
-    (Invalid_argument (capacity_message "Request_slab.create" (-4)))
-    (fun () ->
-      ignore (Runtime.Request_slab.create ~capacity:(-4) ~arg_words:8 ()));
+  Alcotest.check_raises "Shm_channel.create_heap capacity 6"
+    (Invalid_argument (capacity_message "Shm_channel.create_heap" 6))
+    (fun () -> ignore (Runtime.Shm_channel.create_heap ~capacity:6 ()));
+  Alcotest.check_raises "Shm_channel.create_heap capacity -4"
+    (Invalid_argument (capacity_message "Shm_channel.create_heap" (-4)))
+    (fun () -> ignore (Runtime.Shm_channel.create_heap ~capacity:(-4) ()));
   (* validate_capacity itself: accepts every power of two, including 1. *)
   List.iter
     (fun ok -> Runtime.Spsc_ring.validate_capacity "t" ok)
     [ 1; 2; 4; 64; 1024 ]
-
-let prop_spsc_wraparound =
-  QCheck.Test.make ~name:"ring preserves order across wraps" ~count:100
-    QCheck.(list_of_size Gen.(1 -- 200) int)
-    (fun xs ->
-      let r = Runtime.Spsc_ring.create ~capacity:8 in
-      let out = ref [] in
-      List.iter
-        (fun x ->
-          if not (Runtime.Spsc_ring.try_push r x) then begin
-            (* Drain one to make room, recording it. *)
-            (match Runtime.Spsc_ring.try_pop r with
-            | Some v -> out := v :: !out
-            | None -> ());
-            ignore (Runtime.Spsc_ring.try_push r x)
-          end)
-        xs;
-      let rec drain () =
-        match Runtime.Spsc_ring.try_pop r with
-        | Some v ->
-            out := v :: !out;
-            drain ()
-        | None -> ()
-      in
-      drain ();
-      List.rev !out = xs)
-
-let test_spsc_cross_domain () =
-  let r = Runtime.Spsc_ring.create ~capacity:16 in
-  let n = 10_000 in
-  let consumer =
-    Domain.spawn (fun () ->
-        let sum = ref 0 in
-        for _ = 1 to n do
-          sum := !sum + Runtime.Spsc_ring.pop_wait r
-        done;
-        !sum)
-  in
-  for i = 1 to n do
-    Runtime.Spsc_ring.push_wait r i
-  done;
-  Alcotest.(check int) "sum across domains" (n * (n + 1) / 2)
-    (Domain.join consumer)
 
 (* --- fastcall ------------------------------------------------------------ *)
 
@@ -209,84 +157,85 @@ let test_fastcall_nested_calls () =
   ignore (Runtime.Fastcall.call t ~ep args);
   Alcotest.(check int) "nested result" 42 args.(0)
 
+(* The legacy MPSC path (bench_lib's baseline) over a Fastcall table. *)
 let test_fastcall_cross_domain () =
   let t = Runtime.Fastcall.create () in
   let ep = Runtime.Fastcall.register t adder in
-  let sd = Runtime.Fastcall.spawn_server t in
+  let sd = Legacy_path.spawn_server t in
   let total = ref 0 in
   for i = 1 to 100 do
     let args = Array.make 8 0 in
     args.(0) <- i;
     args.(1) <- i;
-    ignore (Runtime.Fastcall.cross_call sd ~ep args);
+    ignore (Legacy_path.cross_call sd ~ep args);
     total := !total + args.(0)
   done;
-  Runtime.Fastcall.shutdown_server sd;
-  Alcotest.(check int) "all served" 100 (Runtime.Fastcall.served sd);
+  Legacy_path.shutdown_server sd;
+  Alcotest.(check int) "all served" 100 (Legacy_path.served sd);
   Alcotest.(check int) "sums correct" (2 * (100 * 101 / 2)) !total
 
 (* --- locked registry ------------------------------------------------------ *)
 
 let test_locked_registry_parity () =
-  let t = Runtime.Locked_registry.create () in
+  let t = Locked_registry.create () in
   let ep =
-    Runtime.Locked_registry.register t (fun _frame args ->
+    Locked_registry.register t (fun _frame args ->
         args.(0) <- args.(0) * 2;
         args.(7) <- 0)
   in
   let args = Array.make 8 0 in
   args.(0) <- 21;
-  let rc = Runtime.Locked_registry.call t ~ep args in
+  let rc = Locked_registry.call t ~ep args in
   Alcotest.(check int) "rc" 0 rc;
   Alcotest.(check int) "doubled" 42 args.(0);
-  Alcotest.(check int) "calls" 1 (Runtime.Locked_registry.calls t)
+  Alcotest.(check int) "calls" 1 (Locked_registry.calls t)
 
 let test_locked_registry_multidomain () =
-  let t = Runtime.Locked_registry.create () in
+  let t = Locked_registry.create () in
   let ep =
-    Runtime.Locked_registry.register t (fun _frame args -> args.(7) <- 0)
+    Locked_registry.register t (fun _frame args -> args.(7) <- 0)
   in
   let per = 1000 in
   let domains =
     List.init 3 (fun _ ->
         Domain.spawn (fun () ->
             for _ = 1 to per do
-              ignore (Runtime.Locked_registry.call t ~ep (Array.make 8 0))
+              ignore (Locked_registry.call t ~ep (Array.make 8 0))
             done))
   in
   List.iter Domain.join domains;
   Alcotest.(check int) "exact count under contention" (3 * per)
-    (Runtime.Locked_registry.calls t)
+    (Locked_registry.calls t)
 
 (* --- domain pool ----------------------------------------------------------- *)
 
 let test_domain_pool_affinity () =
-  let pool = Runtime.Domain_pool.create ~domains:2 in
+  let pool = Domain_pool.create ~domains:2 in
   let c0 = Atomic.make 0 and c1 = Atomic.make 0 in
   for _ = 1 to 50 do
-    Runtime.Domain_pool.submit_to pool ~index:0 (fun () -> Atomic.incr c0);
-    Runtime.Domain_pool.submit_to pool ~index:1 (fun () -> Atomic.incr c1)
+    Domain_pool.submit_to pool ~index:0 (fun () -> Atomic.incr c0);
+    Domain_pool.submit_to pool ~index:1 (fun () -> Atomic.incr c1)
   done;
-  Runtime.Domain_pool.shutdown pool;
+  Domain_pool.shutdown pool;
   Alcotest.(check int) "member 0 ran its work" 50 (Atomic.get c0);
   Alcotest.(check int) "member 1 ran its work" 50 (Atomic.get c1);
   Alcotest.(check int) "executed counters" 50
-    (Runtime.Domain_pool.executed pool ~index:0);
-  Alcotest.(check int) "total" 100 (Runtime.Domain_pool.total_executed pool)
+    (Domain_pool.executed pool ~index:0);
+  Alcotest.(check int) "total" 100 (Domain_pool.total_executed pool)
 
 let test_domain_pool_round_robin () =
-  let pool = Runtime.Domain_pool.create ~domains:3 in
+  let pool = Domain_pool.create ~domains:3 in
   let total = Atomic.make 0 in
   for _ = 1 to 99 do
-    Runtime.Domain_pool.submit pool (fun () -> Atomic.incr total)
+    Domain_pool.submit pool (fun () -> Atomic.incr total)
   done;
-  Runtime.Domain_pool.shutdown pool;
+  Domain_pool.shutdown pool;
   Alcotest.(check int) "all ran" 99 (Atomic.get total);
   for i = 0 to 2 do
     Alcotest.(check int)
       (Printf.sprintf "member %d got an even share" i)
       33
-      (Runtime.Domain_pool.executed pool ~index:i)
+      (Domain_pool.executed pool ~index:i)
   done
 
 let suites =
@@ -301,13 +250,10 @@ let suites =
       ] );
     ( "runtime.spsc",
       [
-        Alcotest.test_case "bounded capacity" `Quick test_spsc_capacity;
         Alcotest.test_case "power of two required" `Quick
           test_spsc_power_of_two_required;
         Alcotest.test_case "uniform capacity contract" `Quick
           test_uniform_capacity_contract;
-        Alcotest.test_case "cross-domain stream" `Quick test_spsc_cross_domain;
-        qcheck prop_spsc_wraparound;
       ] );
     ( "runtime.fastcall",
       [
@@ -467,37 +413,6 @@ let test_raw_ring_cross_domain () =
   done;
   Alcotest.(check int) "sum across domains" (n * (n + 1) / 2)
     (Domain.join consumer)
-
-(* --- request slab --------------------------------------------------------- *)
-
-let test_slab_lifo_reuse () =
-  let s = Runtime.Request_slab.create ~capacity:2 ~arg_words:8 () in
-  let a = Runtime.Request_slab.acquire s in
-  let b = Runtime.Request_slab.acquire s in
-  Alcotest.(check bool) "distinct cells" true (a.index <> b.index);
-  Alcotest.(check int) "in flight" 2 (Runtime.Request_slab.in_flight s);
-  Runtime.Request_slab.release s a;
-  let a' = Runtime.Request_slab.acquire s in
-  Alcotest.(check int) "serial reuse: last released comes back first" a.index
-    a'.index;
-  Alcotest.(check int) "no growth yet" 0 (Runtime.Request_slab.grows s);
-  (* Exhaust the pool: the slab grows rather than blocking. *)
-  let c = Runtime.Request_slab.acquire s in
-  Alcotest.(check int) "grew once" 1 (Runtime.Request_slab.grows s);
-  Alcotest.(check int) "created tracks growth" 3 (Runtime.Request_slab.created s);
-  Runtime.Request_slab.release s a';
-  Runtime.Request_slab.release s b;
-  Runtime.Request_slab.release s c;
-  Alcotest.(check int) "all home" 3 (Runtime.Request_slab.available s)
-
-let test_slab_release_resets_state () =
-  let s = Runtime.Request_slab.create ~capacity:1 ~arg_words:8 () in
-  let c = Runtime.Request_slab.acquire s in
-  Atomic.set c.state Runtime.Request_slab.state_done;
-  Runtime.Request_slab.release s c;
-  let c' = Runtime.Request_slab.acquire s in
-  Alcotest.(check int) "state reset to free" Runtime.Request_slab.state_free
-    (Atomic.get c'.state)
 
 (* --- doorbell ------------------------------------------------------------- *)
 
@@ -763,8 +678,8 @@ let test_channel_call_zero_alloc () =
 
 (* --- deadline timed park --------------------------------------------------- *)
 
-(* The deadline wait is spin, then a timed park (sched_yield rounds,
-   then bounded nanosleep naps — see Doorbell.timed_wait).  These tests
+(* The deadline wait is the segment's ladder: spin, then sched_yield
+   rounds, then naps capped at 50 µs (see Shm_channel.await).  These tests
    pin its three wake reasons: the reply landing, the deadline
    expiring, and a dead server (where only the clock can save the
    caller).  [client_spin:0] forces every call past the spin phase so
@@ -1212,12 +1127,6 @@ let channel_suites =
         Alcotest.test_case "cross-domain stream" `Quick
           test_raw_ring_cross_domain;
         qcheck prop_raw_ring_wraparound;
-      ] );
-    ( "runtime.request_slab",
-      [
-        Alcotest.test_case "LIFO reuse and growth" `Quick test_slab_lifo_reuse;
-        Alcotest.test_case "release resets state" `Quick
-          test_slab_release_resets_state;
       ] );
     ( "runtime.doorbell",
       [

@@ -46,41 +46,19 @@ let prop_treiber_vs_list =
 let prop_mpsc_vs_queue =
   QCheck.Test.make ~name:"mpsc queue = queue model" ~count:300 ops_arb
     (fun ops ->
-      let q = Runtime.Mpsc_queue.create () in
+      let q = Mpsc_queue.create () in
       let model = Queue.create () in
       List.for_all
         (fun (tag, v) ->
           if tag < 2 then begin
-            Runtime.Mpsc_queue.push q v;
+            Mpsc_queue.push q v;
             Queue.push v model;
             true
           end
           else
-            let got = Runtime.Mpsc_queue.pop q in
+            let got = Mpsc_queue.pop q in
             let want = Queue.take_opt model in
-            got = want && Runtime.Mpsc_queue.is_empty q = Queue.is_empty model)
-        ops)
-
-(* --- SPSC ring vs bounded queue model ------------------------------------- *)
-
-let prop_spsc_vs_bounded_queue =
-  QCheck.Test.make ~name:"spsc ring = bounded queue model" ~count:300 ops_arb
-    (fun ops ->
-      let cap = 4 in
-      let r = Runtime.Spsc_ring.create ~capacity:cap in
-      let model = Queue.create () in
-      List.for_all
-        (fun (tag, v) ->
-          if tag < 2 then begin
-            let got = Runtime.Spsc_ring.try_push r v in
-            let want = Queue.length model < cap in
-            if want then Queue.push v model;
-            got = want
-          end
-          else
-            let got = Runtime.Spsc_ring.try_pop r in
-            let want = Queue.take_opt model in
-            got = want)
+            got = want && Mpsc_queue.is_empty q = Queue.is_empty model)
         ops)
 
 (* --- striped counter vs integer ------------------------------------------- *)
@@ -106,118 +84,67 @@ let prop_striped_vs_int =
         ops
       && Runtime.Striped_counter.value c = !model)
 
-(* --- request slab vs free-stack model ------------------------------------- *)
+(* --- segment abandonment vs set model --------------------------------- *)
 
-(* The slab's serial-reuse contract: release pushes the cell on a free
-   stack, acquire pops the most recently released cell (warm calls keep
-   touching the same hot cell) and only mints a fresh index when the
-   stack is empty.  The model is a free-id stack plus the set of
-   outstanding ids. *)
-let prop_slab_serial_reuse =
-  QCheck.Test.make ~name:"request slab = free-stack model" ~count:300 ops_arb
-    (fun ops ->
-      let s = Runtime.Request_slab.create ~capacity:1 ~arg_words:8 () in
-      let first = Runtime.Request_slab.acquire s in
-      Runtime.Request_slab.release s first;
-      let free = ref [ first.Runtime.Request_slab.index ] in
-      let minted = ref 1 in
-      let out = Hashtbl.create 8 in
-      List.for_all
-        (fun (tag, _) ->
-          if tag < 2 then begin
-            let cell = Runtime.Request_slab.acquire s in
-            let idx = cell.Runtime.Request_slab.index in
-            let want =
-              match !free with
-              | top :: rest ->
-                  free := rest;
-                  top
-              | [] ->
-                  let id = !minted in
-                  incr minted;
-                  id
-            in
-            Hashtbl.replace out idx cell;
-            idx = want
-            && Atomic.get cell.Runtime.Request_slab.state
-               = Runtime.Request_slab.state_free
-          end
-          else
-            match Hashtbl.length out with
-            | 0 -> true
-            | _ ->
-                (* Release an arbitrary outstanding cell (first in the
-                   table's iteration order keeps it deterministic enough
-                   for the model, which tracks ids, not order). *)
-                let idx, cell =
-                  Hashtbl.fold
-                    (fun k v acc ->
-                      match acc with
-                      | Some (k0, _) when k0 <= k -> acc
-                      | _ -> Some (k, v))
-                    out None
-                  |> Option.get
-                in
-                Hashtbl.remove out idx;
-                Runtime.Request_slab.release s cell;
-                free := idx :: !free;
-                Runtime.Request_slab.available s = List.length !free
-                && Runtime.Request_slab.in_flight s = Hashtbl.length out)
-        ops
-      && Runtime.Request_slab.created s = !minted)
-
-(* --- slab abandonment vs set model ----------------------------------------- *)
-
-(* The deadline protocol's core invariant: a cell abandoned via the
-   pending → abandoned CAS and then handed back through [reclaim] is
-   recycled exactly once — it reappears in the pool once, and the slab
-   never ends up with duplicate or lost cells.  The model walks a
-   generated plan of complete/abandon outcomes, then drains the slab
-   and checks every created cell comes back exactly once. *)
-let prop_slab_abandon_reclaim =
-  QCheck.Test.make ~name:"slab: abandoned cells recycled exactly once"
+(* The deadline protocol's core invariant, on the in-heap segment every
+   queued channel call rides: a cell abandoned via the pending ->
+   abandoned CAS is recycled exactly once — the server discards the
+   late request and returns the cell through the reclaim ring, and the
+   client's free stack never ends up with duplicate or lost cells.  The
+   model walks a generated plan of complete/abandon outcomes (an
+   abandon is a deadline already past when the wait gives up), then
+   checks the counters and that every cell surfaces exactly once. *)
+let prop_segment_abandon_reclaim =
+  QCheck.Test.make ~name:"segment: abandoned cells recycled exactly once"
     ~count:300
     QCheck.(small_list bool)
     (fun plan ->
-      let module S = Runtime.Request_slab in
-      let s = S.create ~capacity:2 ~max_cells:64 ~arg_words:8 () in
-      let abandons = ref 0 in
+      let module Ch = Runtime.Shm_channel in
+      let seg = Ch.create_heap ~capacity:4 ~arg_words:8 () in
+      let server = Ch.attach ~role:Ch.Server seg in
+      let client = Ch.attach ~spin:0 ~role:Ch.Client seg in
+      let dispatch ~ep_word:_ args =
+        args.(0) <- args.(0) + 1;
+        Ipc_intf.Errc.ok
+      in
+      let args = Array.make 8 0 in
+      let abandons = ref 0 and completed = ref true in
       List.iter
         (fun abandon ->
-          match S.try_acquire s with
-          | None -> ()
-          | Some cell ->
-              Atomic.set cell.S.state S.state_pending;
-              if abandon then begin
-                (* Client side: deadline expired, win the handoff CAS… *)
-                assert (
-                  Atomic.compare_and_set cell.S.state S.state_pending
-                    S.state_abandoned);
-                incr abandons;
-                (* …server side: sees the abandoned cell, reclaims it. *)
-                S.reclaim s cell
-              end
-              else begin
-                ignore (Atomic.exchange cell.S.state S.state_done);
-                S.release s cell
-              end)
+          let i = Ch.submit_raw client ~ep:0 args in
+          if i < 0 then completed := false
+          else if abandon then begin
+            (* Client side: deadline already expired, win the handoff
+               CAS; server side: sees the abandoned cell, reclaims it. *)
+            if Ch.await ~deadline:0 client i args <> Ipc_intf.Errc.timed_out
+            then completed := false;
+            incr abandons;
+            ignore (Ch.serve_once server ~dispatch : int)
+          end
+          else begin
+            ignore (Ch.serve_once server ~dispatch : int);
+            if Ch.await client i args <> Ipc_intf.Errc.ok then
+              completed := false
+          end)
         plan;
-      let n = S.created s in
-      S.reclaimed s = !abandons
-      && S.available s = n
-      && S.in_flight s = 0
+      let n = Ch.capacity client in
+      !completed
+      && Ch.reclaimed client = !abandons
+      && Ch.timeouts client = !abandons
+      && Ch.free_cells client = n
+      && Ch.in_flight client = 0
       &&
-      (* Drain the whole slab: every cell must surface exactly once. *)
-      let seen = Hashtbl.create 16 in
+      (* Submit until full: every cell must surface exactly once. *)
+      let seen = Hashtbl.create 8 in
       let unique = ref true in
       for _ = 1 to n do
-        match S.try_acquire s with
-        | None -> unique := false
-        | Some c ->
-            if Hashtbl.mem seen c.S.index then unique := false;
-            Hashtbl.replace seen c.S.index ()
+        let i = Ch.submit_raw client ~ep:0 args in
+        if i < 0 || Hashtbl.mem seen i then unique := false;
+        Hashtbl.replace seen i ()
       done;
-      !unique && Hashtbl.length seen = n && S.in_flight s = n)
+      !unique
+      && Hashtbl.length seen = n
+      && Ch.submit_raw client ~ep:0 args = Ipc_intf.Errc.retry)
 
 (* --- entry-point slot table vs lifecycle model ---------------------------- *)
 
@@ -566,10 +493,8 @@ let suites =
       [
         qcheck prop_treiber_vs_list;
         qcheck prop_mpsc_vs_queue;
-        qcheck prop_spsc_vs_bounded_queue;
         qcheck prop_striped_vs_int;
-        qcheck prop_slab_serial_reuse;
-        qcheck prop_slab_abandon_reclaim;
+        qcheck prop_segment_abandon_reclaim;
         qcheck prop_slot_lifecycle;
         qcheck prop_batch_hold_lifecycle;
         qcheck prop_backoff_laws;
