@@ -246,6 +246,11 @@ let run ?(calls = 4_000) ?(events = 6) ?(pace_us = 60.) ~seed () =
       ~server:(server_main ~seg_path ~ledger_path)
       ()
   in
+  (* The parent's view of the header, for attach checks; regeneration
+     rewrites the file in place, so the mapping stays valid. *)
+  let hdr =
+    Segment.map_file ~path:seg_path ~words:W.header_words ~create:false ()
+  in
   (* The event plan is a pure function of the seed: thresholds on the
      claim counter in [15%, 85%] of the budget (so recovery always has
      load left to prove itself on), victim drawn per event. *)
@@ -332,7 +337,17 @@ let run ?(calls = 4_000) ?(events = 6) ?(pace_us = 60.) ~seed () =
                        get l_releases >= !injected_client))
               then
                 violate "client kill at %d: session never released" threshold;
-              fork_client ()
+              fork_client ();
+              (* Only a client that holds a session can have it
+                 released: the next event waits for the successor to
+                 attach, or a kill scheduled close behind this one
+                 would land on a process the server never saw. *)
+              if
+                not
+                  (wait_until ~timeout_ns:step_timeout_ns ~drive (fun () ->
+                       Segment.get hdr W.off_client_pid = !client_pid
+                       || get l_done = 1))
+              then violate "client kill at %d: successor never attached" threshold
         end
       end)
     plan;
@@ -384,8 +399,9 @@ let run ?(calls = 4_000) ?(events = 6) ?(pace_us = 60.) ~seed () =
       if Segment.get seg (W.cell_state ~capacity ~arg_words i) <> W.state_free
       then incr n
     done;
-    if Segment.get seg W.submit_head <> Segment.get seg W.submit_tail then
-      violate "submission ring not drained at quiesce";
+    if
+      Segment.get seg W.off_submit_head <> Segment.get seg W.off_submit_tail
+    then violate "submission ring not drained at quiesce";
     !n
   in
   (* The double entry. *)

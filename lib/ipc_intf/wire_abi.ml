@@ -22,19 +22,36 @@
 
    Whole-segment layout, for a segment of [capacity] cells with
    [arg_words] argument words per cell (capacity a positive power of
-   two; both recorded in the header so the two sides can cross-check):
+   two; both recorded in the header so the two sides can cross-check).
+   Every region starts on a 64-byte line ([line_words] = 8 words) and
+   every line has one writer on the warm path, so a word one side
+   stores never invalidates a line the other side polls:
 
-     word 0                      header           (header_words = 16)
-     word 16                     submission ring  (2 + capacity words)
-     word 18+capacity            reclaim ring     (2 + capacity words)
-     word 20+2*capacity          cells            (capacity * cell_words)
+     word 0                      header line 0    build/attach words
+     word 8                      header line 1    server-written words
+     word 16                     header line 2    client-written words
+     word 24                     submission slots (client-written)
+     ...                         reclaim slots    (server-written)
+     ...                         cells            (one per line group)
 
-   Rings are the Spsc_ring.Raw protocol verbatim: a consumer-owned
-   head word, a producer-owned tail word, then [capacity] slot words
-   holding cell indices; masking by capacity-1 maps a monotonically
-   increasing counter onto a slot.  The submission ring flows client ->
-   server; the reclaim ring returns abandoned cells server -> client
-   (the §4.5.6 CD-reclamation side stack, re-hosted).
+   Each slot region is [capacity] words rounded up to whole lines;
+   each cell starts on a line boundary and occupies [2 + arg_words]
+   words rounded up to whole lines, so neighbouring cells never share
+   a line.  A cell's lines do change hands — the client stages a call,
+   the server writes the reply — but only along the completion state
+   machine, one call at a time.  Cold paths (layout, a sweep after
+   peer death, a session release) write wherever they must: the peer
+   they would contend with is absent or dead.
+
+   Rings are the Spsc_ring.Raw protocol with the head and tail words
+   lifted into the header lines of their writers: a consumer-owned
+   head, a producer-owned tail and [capacity] slot words holding cell
+   indices; masking by capacity-1 maps a monotonically increasing
+   counter onto a slot.  The submission ring flows client -> server
+   (tail and slots client-written, head server-written); the reclaim
+   ring returns abandoned cells server -> client (the §4.5.6
+   CD-reclamation side stack, re-hosted; tail and slots server-written,
+   head client-written).
 
    Cells are flattened request descriptors: one state word (the
    completion state machine, encodings below), one entry-point word,
@@ -51,16 +68,31 @@ let magic = 0x50_50_43_5F_41_42_49
    immediate.  Also the endianness canary: byte-swapped it has bit 63
    set and cannot round-trip through an OCaml int. *)
 
-let abi_version = 2
+let abi_version = 3
 (* Bump on ANY layout or encoding change below.  Attach refuses a
    mismatch; there is no in-place migration — a segment is as cheap to
    rebuild as to reinterpret.  v2: word 15 became the sessions-released
    counter (was reserved/zero) and the generation seqlock is reused for
-   in-place regeneration, not just first construction. *)
+   in-place regeneration, not just first construction.  v3: one writer
+   per 64-byte line — the header split into build, server and client
+   lines, ring heads and tails moved into their writers' lines, and
+   slot regions and cells padded to whole lines. *)
+
+(* --- lines ----------------------------------------------------------------- *)
+
+let line_words = 8
+(* 64-byte cache lines, the coherence unit on every host the ABI
+   targets.  A constant, not a knob: both sides must agree on it, and
+   the layout below is pinned ABI. *)
+
+let round_up_lines n = (n + line_words - 1) / line_words * line_words
 
 (* --- header ---------------------------------------------------------------- *)
 
-let header_words = 16
+let header_words = 3 * line_words
+
+(* Line 0: build/attach words.  Written while a builder holds the
+   generation seqlock, and the pids once per attach. *)
 
 let off_magic = 0
 let off_version = 1
@@ -86,55 +118,62 @@ let off_client_pid = 7
 (* Written by each side when it attaches in that role; 0 = not yet
    attached.  The peer-liveness probe needs a pid to poke. *)
 
-let off_server_heartbeat = 8
-let off_client_heartbeat = 9
-(* Bumped by the owning side on every serve sweep / call.  A peer whose
-   heartbeat is frozen across a probe window gets its pid checked; see
-   "peer death" below. *)
+(* Line 1: server-written words. *)
 
-let off_server_state = 10
-let off_client_state = 11
+let off_server_heartbeat = 8
+(* Bumped by the server on every serve sweep; the client-side twin is
+   [off_client_heartbeat].  A peer whose heartbeat is frozen across a
+   probe window gets its pid checked (Shm_channel's liveness probe). *)
+
+let off_server_state = 9
 
 (* Lifecycle values for the two state words. *)
 let peer_absent = 0
 let peer_ready = 1
 let peer_shutdown = 2
 
-let off_doorbell = 12
-(* Ring counter, fetch-added by the client after publishing a tail.  A
-   cross-process doorbell cannot share a condvar, so the server's park
-   is a nap loop; the counter tells it (and the stats) how often it was
-   rung while napping. *)
+let off_submit_head = 10
+let off_reclaim_tail = 11
 
-let off_reclaimed = 13
-(* Abandoned cells the server has pushed through the reclaim ring —
-   observability for the exactly-once recycling contract. *)
+let off_reclaimed = 12
+(* Abandoned cells pushed through the reclaim ring (or recycled by a
+   peer-death sweep) — observability for the exactly-once recycling
+   contract. *)
 
-let off_peer_faults = 14
+let off_peer_faults = 13
 (* In-flight calls a surviving side failed with [Errc.handler_fault]
    after detecting peer death. *)
 
-let off_sessions = 15
+let off_sessions = 14
 (* Sessions the server has released after confirming client death (or
    clean departure): fetch-added once per [release_session], so the
    supervisor and the chaos harness can reconcile injected client
    kills against observed releases by double entry. *)
 
-(* --- rings ----------------------------------------------------------------- *)
+(* Line 2: client-written words. *)
 
-let ring_words ~capacity = 2 + capacity
+let off_client_heartbeat = 16
+let off_client_state = 17
+let off_submit_tail = 18
+let off_reclaim_head = 19
+
+let off_doorbell = 20
+(* Ring counter, fetch-added by the client after publishing a tail.  A
+   cross-process doorbell cannot share a condvar, so the server's park
+   is a nap loop; the counter tells it (and the stats) how often it was
+   rung while napping. *)
+
+(* --- ring slots ------------------------------------------------------------ *)
+
+let slot_words ~capacity = round_up_lines capacity
 
 let submit_base = header_words
-let submit_head = submit_base
-let submit_tail = submit_base + 1
-let submit_slot ~capacity i = submit_base + 2 + (i land (capacity - 1))
+let submit_slot ~capacity i = submit_base + (i land (capacity - 1))
 
-let reclaim_base ~capacity = submit_base + ring_words ~capacity
-let reclaim_head ~capacity = reclaim_base ~capacity
-let reclaim_tail ~capacity = reclaim_base ~capacity + 1
+let reclaim_base ~capacity = submit_base + slot_words ~capacity
 
 let reclaim_slot ~capacity i =
-  reclaim_base ~capacity + 2 + (i land (capacity - 1))
+  reclaim_base ~capacity + (i land (capacity - 1))
 
 (* --- cells ----------------------------------------------------------------- *)
 
@@ -149,8 +188,10 @@ let state_parked = 2
 let state_done = 3
 let state_abandoned = 4
 
-let cell_words ~arg_words = 2 + arg_words
-let cells_base ~capacity = reclaim_base ~capacity + ring_words ~capacity
+(* The cell stride: state, entry point and arguments, padded to whole
+   lines. *)
+let cell_words ~arg_words = round_up_lines (2 + arg_words)
+let cells_base ~capacity = reclaim_base ~capacity + slot_words ~capacity
 
 let cell_base ~capacity ~arg_words i =
   cells_base ~capacity + (i * cell_words ~arg_words)

@@ -721,8 +721,9 @@ let try_ticket sh =
 let release_ticket sh = Atomic.set sh.ticket false
 
 (* Serve every segment with work visible.  An idle segment costs two
-   loads: [serve_once] would also bump the server heartbeat word, a
-   store into the line the waiting client polls. *)
+   loads — the client's submission tail and the server's own head —
+   where [serve_once] would also store the server heartbeat: a wasted
+   store per idle segment per sweep, on the server's own line. *)
 let rec sweep_chans chans dispatch i acc =
   if i >= Array.length chans then acc
   else

@@ -1,4 +1,6 @@
-/* Waiting primitives for the runtime's wait ladder (Shm_channel).
+/* The runtime's C stubs: the waiting primitives of the wait ladder
+ * (Shm_channel), then the shared-segment word operations behind
+ * Segment (see the second header comment below).
  *
  * The OCaml stdlib offers no timed condition wait and no boxing-free
  * monotonic clock, so waits bounded in time get three tiny stubs:
@@ -20,11 +22,14 @@
 
 #include <caml/mlvalues.h>
 #include <caml/bigarray.h>
+#include <caml/fail.h>
 #include <caml/threads.h>
 #include <errno.h>
 #include <sched.h>
 #include <signal.h>
 #include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
 #include <sys/mman.h>
 #include <time.h>
 
@@ -58,19 +63,33 @@ CAMLprim value ppc_runtime_nap_ns(value ns)
 
 /* --- shared-segment words (Wire_abi) ------------------------------------
  *
- * The segment is a Bigarray of int64 words, either malloc'd in-heap or
- * an mmap'd file shared between processes; both go through these
+ * The segment is a Bigarray of int64 words, either allocated in-heap
+ * or an mmap'd file shared between processes; both go through these
  * stubs.  OCaml's Atomic module only covers heap refs, so the word
  * operations are C11 __atomic builtins on the bigarray's data pointer
  * (plain stores compile to a mov, where Atomic.set is an xchg).
  * Stored values are OCaml immediates (63-bit), so every result fits
- * Val_long and every stub is [@@noalloc].
+ * Val_long and every word stub is [@@noalloc].
  *
  * Memory orders: acquire loads, release stores, seq_cst RMW — strong
  * enough for the publish-then-bump-tail ring discipline on both x86
  * and ARM.  Not strong enough for store->load (Dekker) handshakes: a
  * protocol that publishes a word and then reads another needs a
  * seq_cst RMW in between (see Shm_channel.submit_raw).
+ *
+ * Block ops.  ppc_seg_load_words / ppc_seg_store_words move a run of
+ * words between the segment and an OCaml int array in one call, each
+ * word with the same acquire load / release store as the single-word
+ * stubs — the call path's argument copies cost one C call, not one
+ * per word.  Bounds are checked on the OCaml side (a [@@noalloc] stub
+ * must not raise).  The int array holds immediates only, so its fields
+ * are written without caml_modify.
+ *
+ * Line ownership.  Wire_abi gives every 64-byte line one writer, which
+ * only holds if word 0 sits on a line boundary: mmap'd files are page-
+ * aligned, and ppc_seg_alloc_heap allocates heap segments 64-byte-
+ * aligned (posix_memalign) and zero-filled, handing the block to the
+ * bigarray as CAML_BA_MANAGED so the GC frees it.
  */
 
 static inline int64_t *seg_word(value ba, value idx)
@@ -101,6 +120,36 @@ CAMLprim value ppc_seg_fetch_add(value ba, value idx, value delta)
 {
   return Val_long((intnat)__atomic_fetch_add(
       seg_word(ba, idx), (int64_t)Long_val(delta), __ATOMIC_SEQ_CST));
+}
+
+CAMLprim value ppc_seg_load_words(value ba, value off, value dst, value n)
+{
+  const int64_t *p = seg_word(ba, off);
+  intnat k = Long_val(n);
+  for (intnat j = 0; j < k; j++)
+    Field(dst, j) = Val_long((intnat)__atomic_load_n(p + j, __ATOMIC_ACQUIRE));
+  return Val_unit;
+}
+
+CAMLprim value ppc_seg_store_words(value ba, value off, value src, value n)
+{
+  int64_t *p = seg_word(ba, off);
+  intnat k = Long_val(n);
+  for (intnat j = 0; j < k; j++)
+    __atomic_store_n(p + j, (int64_t)Long_val(Field(src, j)), __ATOMIC_RELEASE);
+  return Val_unit;
+}
+
+/* [align] is the line size in bytes (Wire_abi.line_words * 8). */
+CAMLprim value ppc_seg_alloc_heap(value words, value align)
+{
+  size_t bytes = (size_t)Long_val(words) * sizeof(int64_t);
+  void *p = NULL;
+  if (posix_memalign(&p, (size_t)Long_val(align), bytes) != 0)
+    caml_raise_out_of_memory();
+  memset(p, 0, bytes);
+  return caml_ba_alloc_dims(CAML_BA_INT64 | CAML_BA_C_LAYOUT | CAML_BA_MANAGED,
+                            1, p, (intnat)Long_val(words));
 }
 
 /* Flush the whole mapping to its backing file.  Returns 0 / -errno;

@@ -6,10 +6,11 @@
    C11 __atomic stubs on the data pointer.  Where the words live is the
    only difference between segments:
 
-   - [create_heap]: a zero-filled Bigarray private to this process.
-     Every protocol written against a segment runs here without touching
-     the filesystem — Fastcall's queued channel path, the unit tests and
-     the in-process baselines.
+   - [create_heap]: a zero-filled Bigarray private to this process,
+     allocated 64-byte-aligned so Wire_abi's one-writer-per-line layout
+     lands on real cache lines.  Every protocol written against a
+     segment runs here without touching the filesystem — Fastcall's
+     queued channel path, the unit tests and the in-process baselines.
 
    - [map_file]: the same Bigarray over an mmap'd file
      ([Unix.map_file] with [shared:true]).  Two OS processes mapping the
@@ -22,7 +23,13 @@
    release stores and sequentially consistent RMWs; a store followed by
    a load of a different word is therefore NOT ordered (store->load
    needs a fence), which is why protocols that publish-then-check lean
-   on a [fetch_add] or [cas] between the two. *)
+   on a [fetch_add] or [cas] between the two.
+
+   [load_words]/[store_words] move a run of words to or from an int
+   array in one C call, each word still an acquire load or a release
+   store — the call path's per-call argument copies.  Their bounds are
+   checked once per call, in OCaml, because a [@@noalloc] stub cannot
+   raise. *)
 
 type map = (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t
 type t = { map : map; path : string option }
@@ -36,6 +43,15 @@ external seg_cas : map -> int -> int -> int -> bool = "ppc_seg_cas"
 external seg_fetch_add : map -> int -> int -> int = "ppc_seg_fetch_add"
   [@@noalloc]
 
+external seg_load_words : map -> int -> int array -> int -> unit
+  = "ppc_seg_load_words"
+  [@@noalloc]
+
+external seg_store_words : map -> int -> int array -> int -> unit
+  = "ppc_seg_store_words"
+  [@@noalloc]
+
+external seg_alloc_heap : int -> int -> map = "ppc_seg_alloc_heap"
 external seg_msync : map -> int = "ppc_seg_msync"
 external seg_madvise : map -> int -> int = "ppc_seg_madvise" [@@noalloc]
 external pid_alive : int -> bool = "ppc_pid_alive" [@@noalloc]
@@ -57,13 +73,28 @@ let fetch_add t i d = seg_fetch_add t.map i d
 let get_checked t i = check t i; get t i
 let set_checked t i v = check t i; set t i v
 
+(* The block ops' one bounds check covers the whole run, so the stub
+   loops unchecked.  Constant messages: the passing path allocates
+   nothing. *)
+let range_ok t off a n =
+  off >= 0 && n >= 0 && n <= Array.length a && off + n <= length t
+
+let load_words t off dst n =
+  if not (range_ok t off dst n) then
+    invalid_arg "Segment.load_words: range out of bounds";
+  seg_load_words t.map off dst n
+
+let store_words t off src n =
+  if not (range_ok t off src n) then
+    invalid_arg "Segment.store_words: range out of bounds";
+  seg_store_words t.map off src n
+
 (* --- construction ---------------------------------------------------------- *)
 
 let create_heap ~words =
   if words <= 0 then invalid_arg "Segment.create_heap: words must be > 0";
-  let map = Bigarray.Array1.create Bigarray.Int64 Bigarray.C_layout words in
-  Bigarray.Array1.fill map 0L;
-  { map; path = None }
+  let line_bytes = Ipc_intf.Wire_abi.line_words * 8 in
+  { map = seg_alloc_heap words line_bytes; path = None }
 
 (* Map [words] 64-bit words of [path].  [create] truncates (fresh
    segment, creator zeroes and lays it out); without it the file must
@@ -86,7 +117,8 @@ let map_file ~path ~words ~create () =
 let path t = t.path
 
 (* The file-only operations are no-ops on a heap segment: its words are
-   malloc'd, not page-aligned, and have no file to flush or remove. *)
+   line-aligned but not page-aligned, and have no file to flush or
+   remove. *)
 let msync t = match t.path with None -> 0 | Some _ -> seg_msync t.map
 
 type advice = Madv_normal | Madv_willneed | Madv_dontneed

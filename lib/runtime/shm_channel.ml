@@ -11,8 +11,12 @@
    represented by a [t] in its own process (or domain).  The client
    owns the submission ring's tail, the free stack and every cell not
    in flight; the server owns the submission ring's head and the
-   reclaim ring's tail.  Every wait in this module — the client's
-   [await] and the serving loop's idle — climbs one ladder
+   reclaim ring's tail.  Each owner's words share lines with nothing
+   the other side writes (Wire_abi v3), and the client re-reads the
+   server's head only when its cached copy says the ring is full, so a
+   warm call moves only the submission slot and tail lines and the
+   cell's own lines between the two sides.  Every wait in this module
+   — the client's [await] and the serving loop's idle — climbs one ladder
    ([idle_step]): spin, then sched_yield, then naps doubling to a cap
    that bounds both wakeup latency and deadline overshoot.  Processes
    cannot share condvars, so a segment carries no PARKED protocol of
@@ -72,6 +76,10 @@ type t = {
   (* client: free stack of cell indices; unused by the server *)
   free : int array;
   mutable free_len : int;
+  mutable head_seen : int;
+  (* client: last submission head read from the server's line.  The
+     head only grows, so a stale copy can only make the ring look
+     fuller than it is; the live word is re-read only then. *)
   mutable hb : int;  (* local heartbeat counter, mirrored to the segment *)
   mutable peer_dead : bool;
   mutable swept : int;  (* in-flight calls this side failed on peer death *)
@@ -142,13 +150,11 @@ let layout ?(capacity = 64) ?(arg_words = 8) seg =
   Segment.set seg W.off_total_words words;
   Segment.set seg W.off_capacity capacity;
   Segment.set seg W.off_arg_words arg_words;
-  for off = W.off_server_pid to W.off_sessions do
+  (* pids, both owned header lines and their padding: ring heads and
+     tails, heartbeats, states and counters all start from zero *)
+  for off = W.off_server_pid to W.header_words - 1 do
     Segment.set seg off 0
   done;
-  Segment.set seg W.submit_head 0;
-  Segment.set seg W.submit_tail 0;
-  Segment.set seg (W.reclaim_head ~capacity) 0;
-  Segment.set seg (W.reclaim_tail ~capacity) 0;
   let cw = W.cell_words ~arg_words in
   let base = W.cells_base ~capacity in
   for i = 0 to capacity - 1 do
@@ -245,6 +251,7 @@ let attach ?(spin = default_spin) ?(probe_window_ns = 50_000_000) ~role seg =
       gen = Segment.get seg W.off_generation;
       free = Array.init capacity (fun i -> capacity - 1 - i);
       free_len = (match role with Client -> capacity | Server -> 0);
+      head_seen = Segment.get seg W.off_submit_head;
       hb = 0;
       peer_dead = false;
       swept = 0;
@@ -402,14 +409,14 @@ let sweep_dead_peer t =
    §4.5.6 side stack, cold path). *)
 let drain_reclaim t =
   let cap = t.capacity in
-  let head = ref (Segment.get t.seg (W.reclaim_head ~capacity:cap)) in
-  let tail = Segment.get t.seg (W.reclaim_tail ~capacity:cap) in
+  let head = ref (Segment.get t.seg W.off_reclaim_head) in
+  let tail = Segment.get t.seg W.off_reclaim_tail in
   while !head < tail do
     let idx = Segment.get t.seg (W.reclaim_slot ~capacity:cap !head) in
     t.free.(t.free_len) <- idx;
     t.free_len <- t.free_len + 1;
     incr head;
-    Segment.set t.seg (W.reclaim_head ~capacity:cap) !head
+    Segment.set t.seg W.off_reclaim_head !head
   done
 
 let free_cells t =
@@ -417,6 +424,15 @@ let free_cells t =
   t.free_len
 
 let in_flight t = t.capacity - free_cells t
+
+(* Ring space, from the cached head first: the server's head line is
+   read only when the cache says the ring is full. *)
+let ring_full t tail =
+  tail - t.head_seen > t.capacity - 1
+  && begin
+       t.head_seen <- Segment.get t.seg W.off_submit_head;
+       tail - t.head_seen > t.capacity - 1
+     end
 
 (* Submit one call: acquire a cell, stage the arguments, publish it
    through the submission ring, ring the doorbell.  Returns the cell
@@ -433,20 +449,16 @@ let submit_raw t ~ep args =
     if t.free_len = 0 then drain_reclaim t;
     if t.free_len = 0 then Errc.retry
     else begin
-      let cap = t.capacity in
-      let tail = Segment.get t.seg W.submit_tail in
-      let head = Segment.get t.seg W.submit_head in
-      if tail - head > cap - 1 then Errc.retry
+      let tail = Segment.get t.seg W.off_submit_tail in
+      if ring_full t tail then Errc.retry
       else begin
         t.free_len <- t.free_len - 1;
         let i = t.free.(t.free_len) in
         Segment.set t.seg (cell_ep t i) ep;
-        for j = 0 to t.arg_words - 1 do
-          Segment.set t.seg (cell_arg t i j) args.(j)
-        done;
+        Segment.store_words t.seg (cell_arg t i 0) args t.arg_words;
         Segment.set t.seg (cell_state t i) W.state_pending;
-        Segment.set t.seg (W.submit_slot ~capacity:cap tail) i;
-        Segment.set t.seg W.submit_tail (tail + 1);
+        Segment.set t.seg (W.submit_slot ~capacity:t.capacity tail) i;
+        Segment.set t.seg W.off_submit_tail (tail + 1);
         (* Keep this a seq_cst RMW.  Segment stores are release-only, so
            the tail store above does not order a later load of another
            word; this fetch_add is the store->load fence between
@@ -490,9 +502,7 @@ let submit t ~ep args =
    minor allocation per call and break the zero-alloc pin. *)
 let rec await_loop t i args deadline st_off idle nap =
   if Segment.get t.seg st_off = W.state_done then begin
-    for j = 0 to t.arg_words - 1 do
-      args.(j) <- Segment.get t.seg (cell_arg t i j)
-    done;
+    Segment.load_words t.seg (cell_arg t i 0) args t.arg_words;
     Segment.set t.seg st_off W.state_free;
     t.free.(t.free_len) <- i;
     t.free_len <- t.free_len + 1;
@@ -558,9 +568,9 @@ type dispatch = ep_word:int -> int array -> int
 let reclaim_cell t i =
   let cap = t.capacity in
   Segment.set t.seg (cell_state t i) W.state_free;
-  let tail = Segment.get t.seg (W.reclaim_tail ~capacity:cap) in
+  let tail = Segment.get t.seg W.off_reclaim_tail in
   Segment.set t.seg (W.reclaim_slot ~capacity:cap tail) i;
-  Segment.set t.seg (W.reclaim_tail ~capacity:cap) (tail + 1);
+  Segment.set t.seg W.off_reclaim_tail (tail + 1);
   ignore (Segment.fetch_add t.seg W.off_reclaimed 1 : int)
 
 (* Drain the submission ring once: run every queued call through
@@ -569,17 +579,15 @@ let reclaim_cell t i =
 let serve_once t ~dispatch =
   let cap = t.capacity in
   let served = ref 0 in
-  let head = ref (Segment.get t.seg W.submit_head) in
-  let tail = Segment.get t.seg W.submit_tail in
+  let head = ref (Segment.get t.seg W.off_submit_head) in
+  let tail = Segment.get t.seg W.off_submit_tail in
   while !head < tail do
     let i = Segment.get t.seg (W.submit_slot ~capacity:cap !head) in
     incr head;
-    Segment.set t.seg W.submit_head !head;
+    Segment.set t.seg W.off_submit_head !head;
     let st = Segment.get t.seg (cell_state t i) in
     if st = W.state_pending then begin
-      for j = 0 to t.arg_words - 1 do
-        t.scratch.(j) <- Segment.get t.seg (cell_arg t i j)
-      done;
+      Segment.load_words t.seg (cell_arg t i 0) t.scratch t.arg_words;
       let ep_word = Segment.get t.seg (cell_ep t i) in
       let rc =
         match dispatch ~ep_word t.scratch with
@@ -587,9 +595,7 @@ let serve_once t ~dispatch =
         | exception _ -> Errc.handler_fault
       in
       t.scratch.(t.rc_slot) <- rc;
-      for j = 0 to t.arg_words - 1 do
-        Segment.set t.seg (cell_arg t i j) t.scratch.(j)
-      done;
+      Segment.store_words t.seg (cell_arg t i 0) t.scratch t.arg_words;
       if
         not
           (Segment.cas t.seg (cell_state t i) ~expected:W.state_pending
@@ -632,10 +638,10 @@ let release_session t =
   Segment.set seg W.off_client_pid 0;
   Segment.set seg W.off_client_heartbeat 0;
   Segment.set seg W.off_client_state W.peer_absent;
-  Segment.set seg W.submit_head 0;
-  Segment.set seg W.submit_tail 0;
-  Segment.set seg (W.reclaim_head ~capacity:t.capacity) 0;
-  Segment.set seg (W.reclaim_tail ~capacity:t.capacity) 0;
+  Segment.set seg W.off_submit_head 0;
+  Segment.set seg W.off_submit_tail 0;
+  Segment.set seg W.off_reclaim_head 0;
+  Segment.set seg W.off_reclaim_tail 0;
   for i = 0 to t.capacity - 1 do
     for j = 0 to t.cell_words - 1 do
       Segment.set seg (t.cells_base + (i * t.cell_words) + j) 0
@@ -652,7 +658,7 @@ let release_session t =
    parked in-process server runs before it sleeps, and a supervisor's
    "is this server owed work?" probe. *)
 let pending t =
-  Segment.get t.seg W.submit_tail <> Segment.get t.seg W.submit_head
+  Segment.get t.seg W.off_submit_tail <> Segment.get t.seg W.off_submit_head
 
 (* The serving loop: drain, climb the wait ladder when dry, and exit
    when the client announces shutdown (and the ring is dry) or the

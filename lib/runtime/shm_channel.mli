@@ -6,7 +6,10 @@
     genuinely cross-protection-domain PPC.
 
     One segment pairs one server with one client; each side holds a [t]
-    with its own role.  The warm submit/await path allocates nothing.
+    with its own role.  Each side's warm-path stores land only on lines
+    it owns (the {!Ipc_intf.Wire_abi} v3 layout), each argument copy is
+    one {!Segment.load_words} or {!Segment.store_words} call, and the
+    warm submit/await path allocates nothing.
     Crash containment extends to whole-process death — in both
     directions: a frozen peer heartbeat triggers a pid probe, and a
     confirmed death fails every in-flight call with

@@ -16,47 +16,81 @@ module Ch = Runtime.Shm_channel
    silently: pin the header offsets, the region arithmetic and the
    encodings verbatim, so any relayout forces an [abi_version] bump to
    show up in the same diff. *)
+let geometries = [ (1, 1); (16, 8); (64, 8); (256, 4) ]
+
 let test_abi_layout () =
-  Alcotest.(check int) "abi version" 2 W.abi_version;
+  Alcotest.(check int) "abi version" 3 W.abi_version;
   Alcotest.(check bool) "magic is a positive immediate" true (W.magic > 0);
   Alcotest.(check string) "magic spells PPC_ABI" "PPC_ABI"
     (String.init 7 (fun i -> Char.chr ((W.magic lsr (8 * (6 - i))) land 0xff)));
-  Alcotest.(check int) "header words" 16 W.header_words;
-  List.iteri
-    (fun want (name, got) ->
+  Alcotest.(check int) "line words" 8 W.line_words;
+  Alcotest.(check int) "header words" 24 W.header_words;
+  List.iter
+    (fun (name, want, got) ->
       Alcotest.(check int) ("header offset " ^ name) want got)
     [
-      ("magic", W.off_magic);
-      ("version", W.off_version);
-      ("generation", W.off_generation);
-      ("total_words", W.off_total_words);
-      ("capacity", W.off_capacity);
-      ("arg_words", W.off_arg_words);
-      ("server_pid", W.off_server_pid);
-      ("client_pid", W.off_client_pid);
-      ("server_heartbeat", W.off_server_heartbeat);
-      ("client_heartbeat", W.off_client_heartbeat);
-      ("server_state", W.off_server_state);
-      ("client_state", W.off_client_state);
-      ("doorbell", W.off_doorbell);
-      ("reclaimed", W.off_reclaimed);
-      ("peer_faults", W.off_peer_faults);
-      ("sessions", W.off_sessions);
+      (* line 0: build/attach *)
+      ("magic", 0, W.off_magic);
+      ("version", 1, W.off_version);
+      ("generation", 2, W.off_generation);
+      ("total_words", 3, W.off_total_words);
+      ("capacity", 4, W.off_capacity);
+      ("arg_words", 5, W.off_arg_words);
+      ("server_pid", 6, W.off_server_pid);
+      ("client_pid", 7, W.off_client_pid);
+      (* line 1: server-written *)
+      ("server_heartbeat", 8, W.off_server_heartbeat);
+      ("server_state", 9, W.off_server_state);
+      ("submit_head", 10, W.off_submit_head);
+      ("reclaim_tail", 11, W.off_reclaim_tail);
+      ("reclaimed", 12, W.off_reclaimed);
+      ("peer_faults", 13, W.off_peer_faults);
+      ("sessions", 14, W.off_sessions);
+      (* line 2: client-written *)
+      ("client_heartbeat", 16, W.off_client_heartbeat);
+      ("client_state", 17, W.off_client_state);
+      ("submit_tail", 18, W.off_submit_tail);
+      ("reclaim_head", 19, W.off_reclaim_head);
+      ("doorbell", 20, W.off_doorbell);
     ];
-  (* Regions tile the segment exactly: header | submit ring | reclaim
-     ring | cells, no gaps, no overlap, for several geometries. *)
+  (* The region arithmetic for the default geometry, verbatim. *)
+  Alcotest.(check int) "submit slots after the header" 24 W.submit_base;
+  Alcotest.(check int) "reclaim slots (capacity 64)" 88
+    (W.reclaim_base ~capacity:64);
+  Alcotest.(check int) "cells (capacity 64)" 152 (W.cells_base ~capacity:64);
+  Alcotest.(check int) "cell stride (8 args)" 16 (W.cell_words ~arg_words:8);
+  Alcotest.(check int) "total (64 x 8)" 1176
+    (W.total_words ~capacity:64 ~arg_words:8);
+  Alcotest.(check int) "total (16 x 8)" 312
+    (W.total_words ~capacity:16 ~arg_words:8);
+  (* Regions are line-aligned and disjoint: header < submit slots <
+     reclaim slots < cells < end, for several geometries. *)
   List.iter
     (fun (capacity, arg_words) ->
-      let ring = W.ring_words ~capacity in
-      Alcotest.(check int) "submit ring after header" W.header_words
-        W.submit_base;
-      Alcotest.(check int) "reclaim ring after submit ring"
-        (W.submit_base + ring)
-        (W.reclaim_base ~capacity);
-      Alcotest.(check int) "cells after reclaim ring"
-        (W.reclaim_base ~capacity + ring)
+      let aligned name off =
+        Alcotest.(check int) (name ^ " is line-aligned") 0
+          (off mod W.line_words)
+      in
+      let before name a b =
+        Alcotest.(check bool) (name ^ " does not overlap its successor") true
+          (a <= b)
+      in
+      aligned "header" 0;
+      aligned "submit slots" W.submit_base;
+      aligned "reclaim slots" (W.reclaim_base ~capacity);
+      aligned "cells" (W.cells_base ~capacity);
+      aligned "total" (W.total_words ~capacity ~arg_words);
+      before "header" W.header_words W.submit_base;
+      before "submit slots" (W.submit_base + capacity) (W.reclaim_base ~capacity);
+      before "reclaim slots"
+        (W.reclaim_base ~capacity + capacity)
         (W.cells_base ~capacity);
-      Alcotest.(check int) "total covers the last cell word"
+      for i = 0 to capacity - 2 do
+        before "cell"
+          (W.cell_arg ~capacity ~arg_words i (arg_words - 1) + 1)
+          (W.cell_base ~capacity ~arg_words (i + 1))
+      done;
+      before "last cell"
         (W.cell_arg ~capacity ~arg_words (capacity - 1) (arg_words - 1) + 1)
         (W.total_words ~capacity ~arg_words);
       (* Slot indices wrap by masking: a full lap lands back on slot 0. *)
@@ -66,11 +100,65 @@ let test_abi_layout () =
       Alcotest.(check int) "reclaim slot wraps"
         (W.reclaim_slot ~capacity 3)
         (W.reclaim_slot ~capacity (capacity + 3)))
-    [ (1, 1); (16, 8); (64, 8); (256, 4) ];
+    geometries;
   (* Cell states are wire values: pinned literally, like the offsets. *)
   Alcotest.(check (list int)) "cell states" [ 0; 1; 2; 3; 4 ]
     [ W.state_free; W.state_pending; W.state_parked; W.state_done;
       W.state_abandoned ]
+
+(* Who writes each word on the warm path.  Line 0 is written only under
+   the build seqlock or once per attach; a cell's words change hands
+   along its state machine, one call at a time, so each cell is its own
+   owner. *)
+type owner = Build | Server | Client | Cell of int
+
+let owners ~capacity ~arg_words =
+  let a = Array.make (W.total_words ~capacity ~arg_words) None in
+  let mark off o = a.(off) <- Some o in
+  for off = 0 to W.off_client_pid do
+    mark off Build
+  done;
+  List.iter
+    (fun off -> mark off Server)
+    [ W.off_server_heartbeat; W.off_server_state; W.off_submit_head;
+      W.off_reclaim_tail; W.off_reclaimed; W.off_peer_faults; W.off_sessions ];
+  List.iter
+    (fun off -> mark off Client)
+    [ W.off_client_heartbeat; W.off_client_state; W.off_submit_tail;
+      W.off_reclaim_head; W.off_doorbell ];
+  for i = 0 to capacity - 1 do
+    mark (W.submit_slot ~capacity i) Client;
+    mark (W.reclaim_slot ~capacity i) Server;
+    mark (W.cell_state ~capacity ~arg_words i) (Cell i);
+    mark (W.cell_ep ~capacity ~arg_words i) (Cell i);
+    for j = 0 to arg_words - 1 do
+      mark (W.cell_arg ~capacity ~arg_words i j) (Cell i)
+    done
+  done;
+  a
+
+(* The v3 property: no 64-byte line holds words of two owners — in
+   particular never a server-written word next to a client-written one,
+   nor two cells — and every cell starts on a line boundary. *)
+let test_abi_line_owners () =
+  List.iter
+    (fun (capacity, arg_words) ->
+      let a = owners ~capacity ~arg_words in
+      for line = 0 to (Array.length a / W.line_words) - 1 do
+        let here =
+          List.sort_uniq compare
+            (List.filter_map Fun.id
+               (List.init W.line_words (fun k -> a.((line * W.line_words) + k))))
+        in
+        if List.length here > 1 then
+          Alcotest.failf "geometry %dx%d: line %d has %d writers" capacity
+            arg_words line (List.length here)
+      done;
+      for i = 0 to capacity - 1 do
+        Alcotest.(check int) "cell starts on a line" 0
+          (W.cell_base ~capacity ~arg_words i mod W.line_words)
+      done)
+    geometries
 
 let test_abi_ep_word () =
   (* Versioned handles round-trip and match Fastcall's own packing. *)
@@ -156,6 +244,50 @@ let with_temp_path f =
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () -> f path)
 
+(* Block copies: a round trip through [store_words]/[load_words], a
+   sub-range that leaves its neighbours alone, and one bounds check per
+   call covering the whole run. *)
+let exercise_blocks seg =
+  let n = Seg.length seg in
+  let src = Array.init 8 (fun j -> (j * 1_000_003) - 4) in
+  Seg.store_words seg 4 src 8;
+  for j = 0 to 7 do
+    Alcotest.(check int) "store_words lands word by word" src.(j)
+      (Seg.get seg (4 + j))
+  done;
+  let dst = Array.make 10 (-1) in
+  Seg.load_words seg 4 dst 8;
+  Alcotest.(check (array int)) "load_words round-trips"
+    (Array.append src [| -1; -1 |]) dst;
+  Seg.set seg 3 11;
+  Seg.set seg 7 22;
+  Seg.store_words seg 4 [| 5; 6; 7 |] 2;
+  Alcotest.(check (list int)) "a short run touches only its words"
+    [ 11; 5; 6; 22 ]
+    (List.map (Seg.get seg) [ 3; 4; 5; 7 ]);
+  Seg.load_words seg (n - 1) dst 0 (* empty run at the edge: a no-op *);
+  let bad name f =
+    Alcotest.check_raises name
+      (Invalid_argument (Printf.sprintf "Segment.%s: range out of bounds" name))
+      f
+  in
+  bad "load_words" (fun () -> Seg.load_words seg (-1) dst 1);
+  bad "store_words" (fun () -> Seg.store_words seg (-1) src 1);
+  bad "load_words" (fun () -> Seg.load_words seg (n - 2) dst 3);
+  bad "store_words" (fun () -> Seg.store_words seg (n - 2) src 3);
+  bad "load_words" (fun () -> Seg.load_words seg 0 dst 11);
+  bad "store_words" (fun () -> Seg.store_words seg 0 src 9);
+  Alcotest.(check int) "a refused store wrote nothing" 11 (Seg.get seg 3)
+
+let test_segment_blocks () =
+  exercise_blocks (Seg.create_heap ~words:32);
+  with_temp_path (fun path ->
+      let seg = Seg.map_file ~path ~words:32 ~create:true () in
+      exercise_blocks seg;
+      (* the copy went through the shared mapping *)
+      let seg2 = Seg.map_file ~path ~words:32 ~create:false () in
+      Alcotest.(check int) "second mapping reads the block" 5 (Seg.get seg2 4))
+
 let test_segment_shm () =
   with_temp_path (fun path ->
       let seg = Seg.map_file ~path ~words:32 ~create:true () in
@@ -187,7 +319,7 @@ let test_channel_validation () =
        "Shm_channel.layout: capacity must be a positive power of two (got 6)")
     (fun () -> Ch.layout ~capacity:6 (Seg.create_heap ~words:4096));
   Alcotest.check_raises "undersized segment rejected"
-    (Invalid_argument "Shm_channel.layout: segment holds 8 words, need 68")
+    (Invalid_argument "Shm_channel.layout: segment holds 8 words, need 104")
     (fun () ->
       Ch.layout ~capacity:4 ~arg_words:8 (Seg.create_heap ~words:8));
   let seg = Ch.create_heap ~capacity:4 ~arg_words:8 () in
@@ -448,7 +580,7 @@ let test_regeneration_fails_closed () =
       (* The rebuilt session is virgin — the stale client's in-flight
          cell did not leak into it. *)
       Alcotest.(check int) "fresh submit ring is empty" 0
-        (Seg.get seg2 W.submit_tail);
+        (Seg.get seg2 W.off_submit_tail);
       Alcotest.(check int) "fresh cell 0 is free" W.state_free
         (Seg.get seg2 (W.cell_state ~capacity:4 ~arg_words:8 0));
       (* Reattach refusing the fled generation gets the new one... *)
@@ -694,12 +826,14 @@ let suites =
         Alcotest.test_case "layout is pinned" `Quick test_abi_layout;
         Alcotest.test_case "entry-point word encodings" `Quick
           test_abi_ep_word;
+        Alcotest.test_case "one writer per line" `Quick test_abi_line_owners;
       ] );
     ( "shm.segment",
       [
         Alcotest.test_case "heap backend words" `Quick test_segment_heap;
         Alcotest.test_case "mmap backend words + sharing" `Quick
           test_segment_shm;
+        Alcotest.test_case "block copies + bounds" `Quick test_segment_blocks;
       ] );
     ( "shm.channel",
       [
